@@ -10,6 +10,11 @@
 //                               bounds_checked as JSON counters)
 //  * BM_DistancePhaseCondensed— the materializing alternative (same tiles,
 //                               n(n-1)/2 floats) for the memory contrast
+//  * BM_TopKNeighborsExactServed, BM_DistancePhaseCondensedServed — the
+//                               same two phases on the served shape (a
+//                               24-condition yeast-like stress dataset, 2%
+//                               missing, k = 25), where masked pairs
+//                               dominate the tile stream
 //  * BM_DenseKernel{Double,Float} — the distance phase under the double
 //                               reference kernel vs the 4x-unrolled float
 //                               accumulator path (~2x on dense rows)
@@ -39,6 +44,7 @@
 
 #include "expr/expression_matrix.hpp"
 #include "expr/normalize.hpp"
+#include "expr/synth.hpp"
 #include "par/thread_pool.hpp"
 #include "sim/similarity_engine.hpp"
 #include "stats/descriptive.hpp"
@@ -250,6 +256,53 @@ void BM_DistancePhaseCondensed(benchmark::State& state) {
       fv::condensed_size(m.rows()) * sizeof(float)) / 1024.0;
 }
 BENCHMARK(BM_DistancePhaseCondensed)->Arg(1000)->Arg(2000)->Arg(4000)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// --- The served shape ------------------------------------------------------
+
+/// k of the served-shape cases: the middle of the 5–50 range served top-k
+/// jobs draw from.
+constexpr std::size_t kServedNeighbors = 25;
+
+/// The shape the analysis server streams: one yeast-like stress dataset —
+/// 24 conditions (4 stresses x 6 time points), 2% missing cells, so about
+/// 39% of rows hold a missing cell and most pairs take the masked path.
+/// The module-structured inputs above are 96-condition and mostly dense.
+const ex::ExpressionMatrix& served_matrix(std::size_t genes) {
+  static std::map<std::size_t, ex::ExpressionMatrix> cache;
+  const auto it = cache.find(genes);
+  if (it != cache.end()) return it->second;
+  const ex::SynthGenome genome =
+      ex::make_genome(ex::GenomeSpec::yeast_like(genes), 31000 + genes);
+  ex::Dataset dataset =
+      ex::make_stress_dataset(genome, ex::StressDatasetSpec{}, 32000 + genes);
+  return cache.emplace(genes, dataset.values()).first->second;
+}
+
+void BM_TopKNeighborsExactServed(benchmark::State& state) {
+  const auto& m = served_matrix(static_cast<std::size_t>(state.range(0)));
+  fv::par::ThreadPool pool(1);
+  const auto engine = sm::SimilarityEngine::from_rows(m, sm::Metric::kPearson);
+  for (auto _ : state) {
+    const auto table = engine.top_k_neighbors(kServedNeighbors, pool, 0,
+                                              sm::TopKStrategy::kExact);
+    benchmark::DoNotOptimize(table.indices.data());
+  }
+}
+BENCHMARK(BM_TopKNeighborsExactServed)->Arg(1000)->Arg(2700)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_DistancePhaseCondensedServed(benchmark::State& state) {
+  const auto& m = served_matrix(static_cast<std::size_t>(state.range(0)));
+  fv::par::ThreadPool pool(1);
+  const auto engine = sm::SimilarityEngine::from_rows(m, sm::Metric::kPearson);
+  for (auto _ : state) {
+    std::vector<float> out(fv::condensed_size(m.rows()));
+    engine.condensed_distances(out, pool);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_DistancePhaseCondensedServed)->Arg(1000)->Arg(2700)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // --- Dense kernel: double reference vs float accumulators -----------------

@@ -6,8 +6,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
+#include <optional>
 
 #include "serve/json.hpp"
 
@@ -52,8 +55,56 @@ std::string lower(std::string_view s) {
   return out;
 }
 
+/// The header lines of a request whose blank line starts at `header_end`:
+/// everything after the request line's CRLF, up to that blank line.
+std::string_view header_block(std::string_view raw, std::size_t header_end) {
+  const std::size_t begin = std::min(raw.find("\r\n") + 2, header_end);
+  return raw.substr(begin, header_end - begin);
+}
+
+/// The body length a header block declares: 0 without a Content-Length
+/// header, else its value. Only a header name at the start of a line
+/// counts, so "content-length:" inside a value (or the request target)
+/// never does. The value must be ASCII digits with optional surrounding
+/// spaces or tabs — no sign, no trailing bytes, no overflow — and repeated
+/// headers must agree. Anything else throws fv::ParseError (a 400).
+std::size_t declared_content_length(std::string_view headers) {
+  std::optional<std::size_t> length;
+  while (!headers.empty()) {
+    const std::size_t eol = headers.find("\r\n");
+    const std::string_view line = headers.substr(0, eol);
+    headers.remove_prefix(eol == std::string_view::npos ? headers.size()
+                                                        : eol + 2);
+    const std::size_t colon = line.find(':');
+    if (colon == std::string_view::npos ||
+        lower(line.substr(0, colon)) != "content-length") {
+      continue;
+    }
+    std::string_view value = line.substr(colon + 1);
+    const auto blank = [](char c) { return c == ' ' || c == '\t'; };
+    while (!value.empty() && blank(value.front())) value.remove_prefix(1);
+    while (!value.empty() && blank(value.back())) value.remove_suffix(1);
+    if (value.empty()) throw ParseError("http: empty Content-Length");
+    std::size_t parsed = 0;
+    for (const char c : value) {
+      if (c < '0' || c > '9') throw ParseError("http: bad Content-Length");
+      const auto digit = static_cast<std::size_t>(c - '0');
+      if (parsed > (std::numeric_limits<std::size_t>::max() - digit) / 10) {
+        throw ParseError("http: Content-Length overflows");
+      }
+      parsed = parsed * 10 + digit;
+    }
+    if (length.has_value() && *length != parsed) {
+      throw ParseError("http: conflicting Content-Length headers");
+    }
+    length = parsed;
+  }
+  return length.value_or(0);
+}
+
 /// Reads until the buffer holds a complete request (headers + declared
-/// body) or the peer closes. Returns false on overflow of `max_bytes`.
+/// body) or the peer closes. Returns false on overflow of `max_bytes`;
+/// throws fv::ParseError on a malformed Content-Length.
 bool read_request(int fd, std::size_t max_bytes, std::string& buffer) {
   char chunk[4096];
   std::size_t need = std::string::npos;  ///< total bytes once known
@@ -61,13 +112,9 @@ bool read_request(int fd, std::size_t max_bytes, std::string& buffer) {
     if (need == std::string::npos) {
       const std::size_t header_end = buffer.find("\r\n\r\n");
       if (header_end != std::string::npos) {
-        std::size_t content_length = 0;
-        const std::string lowered = lower(buffer.substr(0, header_end));
-        const std::size_t cl = lowered.find("content-length:");
-        if (cl != std::string::npos) {
-          content_length = static_cast<std::size_t>(
-              std::strtoull(lowered.c_str() + cl + 15, nullptr, 10));
-        }
+        const std::size_t content_length =
+            declared_content_length(header_block(buffer, header_end));
+        if (content_length > max_bytes) return false;
         need = header_end + 4 + content_length;
       }
     }
@@ -178,16 +225,8 @@ HttpRequest parse_http_request(std::string_view raw, std::size_t max_bytes) {
     cursor = eol + 2;
   }
 
-  std::size_t content_length = 0;
-  if (const auto it = request.headers.find("content-length");
-      it != request.headers.end()) {
-    char* end = nullptr;
-    content_length =
-        static_cast<std::size_t>(std::strtoull(it->second.c_str(), &end, 10));
-    if (end == it->second.c_str()) {
-      throw ParseError("http: bad Content-Length");
-    }
-  }
+  const std::size_t content_length =
+      declared_content_length(header_block(raw, headers_end));
   const std::string_view body = raw.substr(headers_end + 4);
   if (body.size() < content_length) {
     throw ParseError("http: body shorter than Content-Length");
@@ -282,15 +321,15 @@ void HttpServer::listener_loop() {
 void HttpServer::serve_connection(int fd) {
   std::string buffer;
   HttpResponse response;
-  if (!read_request(fd, options_.max_request_bytes, buffer)) {
-    response.status = 413;
-    JsonValue error = JsonValue::object();
-    error["error"] = "request too large or truncated";
-    response.body = error.dump();
-    write_all(fd, format_http_response(response));
-    return;
-  }
   try {
+    if (!read_request(fd, options_.max_request_bytes, buffer)) {
+      response.status = 413;
+      JsonValue error = JsonValue::object();
+      error["error"] = "request too large or truncated";
+      response.body = error.dump();
+      write_all(fd, format_http_response(response));
+      return;
+    }
     const HttpRequest request =
         parse_http_request(buffer, options_.max_request_bytes);
     response = handler_(request);

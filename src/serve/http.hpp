@@ -47,7 +47,9 @@ const char* http_status_reason(int status);
 
 /// Parses one request from raw bytes: request line, headers, and exactly
 /// Content-Length body bytes. Throws fv::ParseError on a malformed or
-/// oversized (`max_bytes`) request. The parser is byte-complete: it is
+/// oversized (`max_bytes`) request — including a Content-Length that is
+/// not plain ASCII digits, overflows, or disagrees with a repeated
+/// Content-Length header (the listener frames bodies with the same rule). The parser is byte-complete: it is
 /// given the full buffered request, framing is the listener's job.
 HttpRequest parse_http_request(std::string_view raw,
                                std::size_t max_bytes = 1 << 20);

@@ -9,6 +9,17 @@
 #include <mutex>
 #include <optional>
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+// GCC 12's AVX-512 conversion and sqrt intrinsics pass an unset
+// _mm512_undefined_* operand that its own -Wmaybe-uninitialized flags
+// (GCC bug 105593, fixed in 13).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+#endif
+
 #include "sim/lsh.hpp"
 #include "stats/correlation.hpp"
 #include "stats/descriptive.hpp"
@@ -38,11 +49,39 @@ constexpr std::size_t kTile = 64;
 /// adjacent columns); the cost is one float per 16 row elements.
 constexpr std::size_t kBoundSegment = kLanes;
 
+/// Pairs per packed column group of the batched tile kernel: one tile row
+/// is dotted against kGroup columns at once, with accumulators that run
+/// across the pairs (one AVX-512 float register per kernel lane).
+constexpr std::size_t kGroup = 16;
+
+/// acc + x·y, rounded the way every dot kernel in this file rounds it: one
+/// fused rounding where the target has a fast hardware FMA, a product and
+/// a sum otherwise. Spelled out instead of left to the compiler's
+/// contraction choices so the scalar reference kernels and the batched
+/// tile kernel perform the same operations at any -ffp-contract setting,
+/// which is what makes their results bit-identical.
+inline float fused_madd(float x, float y, float acc) {
+#ifdef FP_FAST_FMAF
+  return std::fma(x, y, acc);
+#else
+  return x * y + acc;
+#endif
+}
+
+inline double fused_madd(double x, double y, double acc) {
+#ifdef FP_FAST_FMA
+  return std::fma(x, y, acc);
+#else
+  return x * y + acc;
+#endif
+}
+
 double dot_padded(const float* a, const float* b, std::size_t stride) {
   double acc[kLanes] = {};
   for (std::size_t k = 0; k < stride; k += kLanes) {
     for (std::size_t l = 0; l < kLanes; ++l) {
-      acc[l] += static_cast<double>(a[k + l]) * static_cast<double>(b[k + l]);
+      acc[l] = fused_madd(static_cast<double>(a[k + l]),
+                          static_cast<double>(b[k + l]), acc[l]);
     }
   }
   double total = 0.0;
@@ -85,13 +124,14 @@ double dot_padded_float(const float* a, const float* b, std::size_t stride) {
     for (; k + kLanes * kUnroll <= end; k += kLanes * kUnroll) {
       for (std::size_t u = 0; u < kUnroll; ++u) {
         for (std::size_t l = 0; l < kLanes; ++l) {
-          acc[l] += a[k + u * kLanes + l] * b[k + u * kLanes + l];
+          acc[l] = fused_madd(a[k + u * kLanes + l], b[k + u * kLanes + l],
+                              acc[l]);
         }
       }
     }
     for (; k < end; k += kLanes) {
       for (std::size_t l = 0; l < kLanes; ++l) {
-        acc[l] += a[k + l] * b[k + l];
+        acc[l] = fused_madd(a[k + l], b[k + l], acc[l]);
       }
     }
     for (std::size_t l = 0; l < kLanes; ++l) {
@@ -103,6 +143,209 @@ double dot_padded_float(const float* a, const float* b, std::size_t stride) {
     total += flushed[l];
   }
   return total;
+}
+
+// --- Batched tile kernel ----------------------------------------------------
+//
+// The functions below compute kGroup dot products at once: row `a` against
+// the columns packed in `cols` by pack_group (element k of column p at
+// cols[k * kGroup + p]). Each pair keeps its own 16 lane accumulators, fed
+// in the same order as the scalar kernel it batches (lane l sums elements
+// l, l+16, l+32, … of the row), drained at the same points and reduced
+// over the lanes in the same ascending order, with the same fused_madd
+// rounding, so out[p] equals the scalar kernel's result for (a, column p)
+// bit for bit. Only the loop nest differs: the accumulators run across the
+// kGroup pairs, one vector per lane, instead of one serial 16-lane
+// reduction per pair.
+//
+// The portable forms walk lanes outermost so a vectorizer can keep one
+// lane's kGroup accumulators in registers at any vector width. With
+// AVX-512 (and hardware FMA, which fused_madd then uses) the intrinsics
+// forms keep all 16 lanes' accumulators in registers at once, one zmm per
+// lane, which is what makes the kernel several times faster than the
+// portable form here (GCC prefers 256-bit vectors on current Xeons and
+// then spills the lane array).
+#if defined(__AVX512F__) && defined(FP_FAST_FMAF) && defined(FP_FAST_FMA)
+#define FV_SIM_AVX512 1
+#else
+#define FV_SIM_AVX512 0
+#endif
+
+#if FV_SIM_AVX512
+/// One flush block of dot_group_float: the 16 float lane accumulators of
+/// the kGroup pairs over elements [base, end), one zmm per lane.
+inline void float_lanes(const float* a, const float* cols, std::size_t base,
+                        std::size_t end, __m512 (&acc)[kLanes]) {
+#pragma GCC unroll 16
+  for (std::size_t l = 0; l < kLanes; ++l) acc[l] = _mm512_setzero_ps();
+  for (std::size_t k = base; k < end; k += kLanes) {
+#pragma GCC unroll 16
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      acc[l] = _mm512_fmadd_ps(_mm512_set1_ps(a[k + l]),
+                               _mm512_loadu_ps(cols + (k + l) * kGroup),
+                               acc[l]);
+    }
+  }
+}
+
+/// Lane l's float sums widened to double: pairs 0-7 and 8-15.
+inline __m512d widen_lo(__m512 v) {
+  return _mm512_cvtps_pd(_mm512_castps512_ps256(v));
+}
+inline __m512d widen_hi(__m512 v) {
+  return _mm512_cvtps_pd(
+      _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1)));
+}
+#endif
+
+/// Batched dot_padded_float.
+void dot_group_float(const float* a, const float* cols, std::size_t stride,
+                     double* out) {
+#if FV_SIM_AVX512
+  static_assert(kGroup == 16 && kLanes == 16);
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d total_lo = zero;
+  __m512d total_hi = zero;
+  __m512 acc[kLanes];
+  if (stride <= kFloatFlushBlock) {
+    // One flush block: flushed[l] = 0 + lane sum, total += flushed[l].
+    float_lanes(a, cols, 0, stride, acc);
+#pragma GCC unroll 16
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      total_lo = _mm512_add_pd(total_lo, _mm512_add_pd(zero, widen_lo(acc[l])));
+      total_hi = _mm512_add_pd(total_hi, _mm512_add_pd(zero, widen_hi(acc[l])));
+    }
+  } else {
+    alignas(64) double flushed[kLanes][kGroup] = {};
+    for (std::size_t base = 0; base < stride; base += kFloatFlushBlock) {
+      float_lanes(a, cols, base, std::min(stride, base + kFloatFlushBlock),
+                  acc);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        _mm512_store_pd(flushed[l], _mm512_add_pd(_mm512_load_pd(flushed[l]),
+                                                  widen_lo(acc[l])));
+        _mm512_store_pd(flushed[l] + 8,
+                        _mm512_add_pd(_mm512_load_pd(flushed[l] + 8),
+                                      widen_hi(acc[l])));
+      }
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      total_lo = _mm512_add_pd(total_lo, _mm512_load_pd(flushed[l]));
+      total_hi = _mm512_add_pd(total_hi, _mm512_load_pd(flushed[l] + 8));
+    }
+  }
+  _mm512_storeu_pd(out, total_lo);
+  _mm512_storeu_pd(out + 8, total_hi);
+#else
+  double total[kGroup] = {};
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    double lane[kGroup] = {};
+    for (std::size_t base = 0; base < stride; base += kFloatFlushBlock) {
+      const std::size_t end = std::min(stride, base + kFloatFlushBlock);
+      float acc[kGroup] = {};
+      for (std::size_t k = base + l; k < end; k += kLanes) {
+        const float x = a[k];
+        const float* c = cols + k * kGroup;
+        for (std::size_t p = 0; p < kGroup; ++p) {
+          acc[p] = fused_madd(x, c[p], acc[p]);
+        }
+      }
+      for (std::size_t p = 0; p < kGroup; ++p) {
+        lane[p] += static_cast<double>(acc[p]);
+      }
+    }
+    for (std::size_t p = 0; p < kGroup; ++p) total[p] += lane[p];
+  }
+  std::copy(total, total + kGroup, out);
+#endif
+}
+
+/// Batched dot_padded; `a` and `cols` are already widened to double.
+void dot_group_double(const double* a, const double* cols,
+                      std::size_t stride, double* out) {
+#if FV_SIM_AVX512
+  // Sixteen pairs are two 8-wide halves; each half keeps its 16 lanes in
+  // registers.
+  for (std::size_t half = 0; half < kGroup; half += 8) {
+    __m512d acc[kLanes];
+#pragma GCC unroll 16
+    for (std::size_t l = 0; l < kLanes; ++l) acc[l] = _mm512_setzero_pd();
+    for (std::size_t k = 0; k < stride; k += kLanes) {
+#pragma GCC unroll 16
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        acc[l] = _mm512_fmadd_pd(_mm512_set1_pd(a[k + l]),
+                                 _mm512_loadu_pd(cols + (k + l) * kGroup + half),
+                                 acc[l]);
+      }
+    }
+    __m512d total = _mm512_setzero_pd();
+#pragma GCC unroll 16
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      total = _mm512_add_pd(total, acc[l]);
+    }
+    _mm512_storeu_pd(out + half, total);
+  }
+#else
+  double total[kGroup] = {};
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    double acc[kGroup] = {};
+    for (std::size_t k = l; k < stride; k += kLanes) {
+      const double* c = cols + k * kGroup;
+      for (std::size_t p = 0; p < kGroup; ++p) {
+        acc[p] = fused_madd(a[k], c[p], acc[p]);
+      }
+    }
+    for (std::size_t p = 0; p < kGroup; ++p) total[p] += acc[p];
+  }
+  std::copy(total, total + kGroup, out);
+#endif
+}
+
+#if FV_SIM_AVX512
+/// Stores float(1 - s) for 8 pairs, s = std::clamp(r, -1, 1) (NaN passes
+/// through), or s = 0 in the lanes set in `zero` — the end of
+/// similarity_unchecked and distance_unchecked, lane by lane.
+inline void store_distances(__m512d r, __mmask8 zero, float* out) {
+  const __m512d one = _mm512_set1_pd(1.0);
+  const __m512d minus_one = _mm512_set1_pd(-1.0);
+  r = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(one, r, _CMP_LT_OQ), r, one);
+  r = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(r, minus_one, _CMP_LT_OQ), r,
+                           minus_one);
+  r = _mm512_maskz_mov_pd(static_cast<__mmask8>(~zero), r);
+  _mm256_storeu_ps(out, _mm512_cvtpd_ps(_mm512_sub_pd(one, r)));
+}
+#endif
+
+/// float(1 - s) for the kGroup dense-pair dots, s = clamp(dot, -1, 1) or 0
+/// where `zero` has bit p set (a degenerate row) — similarity_unchecked's
+/// dense fast path and distance_unchecked's cast, pair by pair.
+void dense_group_distances(const double* dots, std::uint32_t zero,
+                           float* out) {
+#if FV_SIM_AVX512
+  for (std::size_t half = 0; half < kGroup; half += 8) {
+    store_distances(_mm512_loadu_pd(dots + half),
+                    static_cast<__mmask8>(zero >> half), out + half);
+  }
+#else
+  for (std::size_t p = 0; p < kGroup; ++p) {
+    const double s = (zero >> p & 1) != 0 ? 0.0 : std::clamp(dots[p], -1.0, 1.0);
+    out[p] = static_cast<float>(1.0 - s);
+  }
+#endif
+}
+
+/// Packs `count` <= kGroup rows of `slab` (row r at slab + r * stride),
+/// named by `rows`, transposed into `out` (stride x kGroup values): element
+/// k of the p-th row lands at out[k * kGroup + p]. Columns past `count`
+/// are zero, so a ragged group runs through the same kernel and its pad
+/// results are simply never read.
+template <typename T>
+void pack_group(const float* slab, const std::uint32_t* rows,
+                std::size_t count, std::size_t stride, T* out) {
+  if (count < kGroup) std::fill(out, out + stride * kGroup, T{0});
+  for (std::size_t p = 0; p < count; ++p) {
+    const float* src = slab + static_cast<std::size_t>(rows[p]) * stride;
+    for (std::size_t k = 0; k < stride; ++k) out[k * kGroup + p] = src[k];
+  }
 }
 
 double squared_diff_padded(const float* a, const float* b,
@@ -120,13 +363,8 @@ double squared_diff_padded(const float* a, const float* b,
   return total;
 }
 
-/// Pairwise-complete moment sums over the common-present cells of two rows.
-struct PairSums {
-  std::size_t n = 0;
-  double sum_a = 0, sum_b = 0, sum_aa = 0, sum_bb = 0, sum_ab = 0;
-};
-
-double finish_centered(const PairSums& s) {
+template <typename Sums>
+double finish_centered(const Sums& s) {
   if (s.n < stats::kMinCompletePairs) return 0.0;
   const double n = static_cast<double>(s.n);
   const double cov = s.sum_ab - s.sum_a * s.sum_b / n;
@@ -142,7 +380,8 @@ double finish_centered(const PairSums& s) {
   return std::clamp(cov / std::sqrt(var_a * var_b), -1.0, 1.0);
 }
 
-double finish_uncentered(const PairSums& s) {
+template <typename Sums>
+double finish_uncentered(const Sums& s) {
   if (s.n < stats::kMinCompletePairs) return 0.0;
   if (s.sum_aa <= 0.0 || s.sum_bb <= 0.0) return 0.0;
   return std::clamp(s.sum_ab / std::sqrt(s.sum_aa * s.sum_bb), -1.0, 1.0);
@@ -367,6 +606,11 @@ std::size_t SimilarityEngine::common_present(std::size_t i,
   return n;
 }
 
+struct SimilarityEngine::PairSums {
+  std::size_t n = 0;  ///< common present cells
+  double sum_a = 0, sum_b = 0, sum_aa = 0, sum_bb = 0, sum_ab = 0;
+};
+
 double SimilarityEngine::masked_similarity(std::size_t i, std::size_t j) const {
   if (metric_ == Metric::kSpearman) {
     // Ranks depend on the pairwise-complete subset, so each pair must be
@@ -375,24 +619,32 @@ double SimilarityEngine::masked_similarity(std::size_t i, std::size_t j) const {
     return stats::spearman({raw_.data() + i * stride_, length_},
                            {raw_.data() + j * stride_, length_});
   }
+  // Pairwise-complete sums = each row's own sums minus the cells the other
+  // row is missing: one vectorized dot over the zero-filled rows plus
+  // O(#missing) scalar corrections, instead of a branch per element.
+  PairSums s = pair_sums(i, j);
+  if (s.n < stats::kMinCompletePairs) return 0.0;
+  s.sum_ab = dot_padded(filled_.data() + i * stride_,
+                        filled_.data() + j * stride_, stride_);
+  return metric_ == Metric::kPearson ? finish_centered(s)
+                                     : finish_uncentered(s);
+}
+
+SimilarityEngine::PairSums SimilarityEngine::pair_sums(std::size_t i,
+                                                      std::size_t j) const {
   // All reads below hit present cells only, where filled_ == the input.
   const float* a = filled_.data() + i * stride_;
   const float* b = filled_.data() + j * stride_;
   PairSums s;
   s.n = common_present(i, j);
-  if (s.n < stats::kMinCompletePairs) return 0.0;
-  // Pairwise-complete sums = each row's own sums minus the cells the other
-  // row is missing: one vectorized dot over the zero-filled rows plus
-  // O(#missing) scalar corrections, instead of a branch per element.
-  s.sum_ab = dot_padded(filled_.data() + i * stride_,
-                        filled_.data() + j * stride_, stride_);
   s.sum_a = own_sum_[i];
   s.sum_aa = own_sumsq_[i];
   for (std::uint32_t m = missing_begin_[j]; m < missing_begin_[j + 1]; ++m) {
     const std::size_t k = missing_idx_[m];
     if (!present_at(i, k)) continue;
     s.sum_a -= a[k];
-    s.sum_aa -= static_cast<double>(a[k]) * a[k];
+    const double x = a[k];
+    s.sum_aa = fused_madd(-x, x, s.sum_aa);
   }
   s.sum_b = own_sum_[j];
   s.sum_bb = own_sumsq_[j];
@@ -400,10 +652,10 @@ double SimilarityEngine::masked_similarity(std::size_t i, std::size_t j) const {
     const std::size_t k = missing_idx_[m];
     if (!present_at(j, k)) continue;
     s.sum_b -= b[k];
-    s.sum_bb -= static_cast<double>(b[k]) * b[k];
+    const double x = b[k];
+    s.sum_bb = fused_madd(-x, x, s.sum_bb);
   }
-  return metric_ == Metric::kPearson ? finish_centered(s)
-                                     : finish_uncentered(s);
+  return s;
 }
 
 double SimilarityEngine::similarity(std::size_t i, std::size_t j) const {
@@ -475,39 +727,74 @@ namespace {
 /// Scratch-block pool for tile streaming: at most one block per concurrent
 /// visitor invocation is ever live (blocks are returned after each tile),
 /// so the distance phase of a streaming consumer peaks at
-/// O(threads * kTile²) floats of transient state, never O(n²). The lock is
-/// taken twice per tile — noise next to the tile's 4096 kernel calls.
-class TileScratchPool {
+/// O(threads * (kTile² + kTile * stride)) floats of transient state, never
+/// O(n²). The lock is taken twice per tile — noise next to the tile's 4096
+/// pairs.
+template <typename Block>
+class ScratchPool {
  public:
-  std::vector<float> acquire() {
+  Block acquire() {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (!free_.empty()) {
-        std::vector<float> block = std::move(free_.back());
+        Block block = std::move(free_.back());
         free_.pop_back();
         return block;
       }
     }
-    return std::vector<float>(kTile * kTile);
+    return Block{};
   }
-  void release(std::vector<float> block) {
+  void release(Block block) {
     const std::lock_guard<std::mutex> lock(mutex_);
     free_.push_back(std::move(block));
   }
 
  private:
   std::mutex mutex_;
-  std::vector<std::vector<float>> free_;
+  std::vector<Block> free_;
 };
 
 }  // namespace
+
+struct SimilarityEngine::TileScratch {
+  std::vector<float> values = std::vector<float>(kTile * kTile);
+
+  /// The tile's columns regrouped by compute_tile: the dense columns, then
+  /// the masked ones, each ascending, cut into groups of <= kGroup so no
+  /// group mixes the two.
+  std::uint32_t cols[kTile] = {};
+  struct Group {
+    std::size_t begin = 0, size = 0;  ///< cols[begin, begin + size)
+    bool dense = false;
+    std::uint32_t degenerate = 0;  ///< bit p: column p is degenerate
+    /// What the batched masked sums read per column (zero past size):
+    /// the columns' own sums and the run of `missing` listing, in
+    /// ascending k, the cells some column of the group lacks.
+    double sum[kGroup] = {}, sumsq[kGroup] = {};
+    std::size_t missing_begin = 0, missing_end = 0;
+  };
+  Group groups[kTile / kGroup + 1];
+  std::size_t group_count = 0;
+  /// (k, bits) runs of the groups: bit p set when column p lacks cell k.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> missing;
+  std::vector<std::uint32_t> missing_bits;  ///< stride-long staging
+
+  /// Packed groups (pack_group layout), stride * kGroup values per group:
+  /// normalized rows of the dense groups for the float or the double
+  /// kernel, and filled rows of the groups that meet masked pairs.
+  std::vector<float> packed_norm;
+  std::vector<double> packed_norm_wide;
+  std::vector<double> packed_filled;
+  /// The current tile row's normalized and filled rows widened to double.
+  std::vector<double> wide_norm, wide_filled;
+};
 
 std::size_t SimilarityEngine::tile_count() const noexcept {
   const std::size_t tiles = (count_ + kTile - 1) / kTile;
   return tiles * (tiles + 1) / 2;
 }
 
-void SimilarityEngine::compute_tile(std::size_t t, float* scratch,
+void SimilarityEngine::compute_tile(std::size_t t, TileScratch& scratch,
                                     DistanceTile& tile) const {
   const std::size_t n = count_;
   const std::size_t tiles = (n + kTile - 1) / kTile;
@@ -519,6 +806,7 @@ void SimilarityEngine::compute_tile(std::size_t t, float* scratch,
     ++ta;
   }
   const std::size_t tb = ta + (t - base);
+  const bool diagonal = ta == tb;
 
   tile.index = t;
   tile.row_begin = ta * kTile;
@@ -526,20 +814,245 @@ void SimilarityEngine::compute_tile(std::size_t t, float* scratch,
   tile.col_begin = tb * kTile;
   tile.col_end = std::min<std::size_t>(n, (tb + 1) * kTile);
   tile.ld = tile.col_end - tile.col_begin;
-  tile.values = scratch;
-  if (ta == tb) {
+  float* values = scratch.values.data();
+  tile.values = values;
+  if (diagonal) {
     // Diagonal tile: only j > i is meaningful; zero the rest so reused
     // scratch blocks never leak another tile's values.
-    std::fill(scratch, scratch + (tile.row_end - tile.row_begin) * tile.ld,
+    std::fill(values, values + (tile.row_end - tile.row_begin) * tile.ld,
               0.0f);
   }
+  if (metric_ == Metric::kEuclidean) {
+    // Euclidean stays on the scalar path: its pairs are a double
+    // squared-difference sum, not a dot over packed columns.
+    for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
+      float* row = values + (i - tile.row_begin) * tile.ld;
+      for (std::size_t j = diagonal ? i + 1 : tile.col_begin;
+           j < tile.col_end; ++j) {
+        row[j - tile.col_begin] = distance_unchecked(i, j);
+      }
+    }
+    return;
+  }
+
+  // A dense row meets a dense group through the normalized-row kernel;
+  // every other pair needs the filled-row dot sum_ab. Spearman re-ranks
+  // its masked pairs on the scalar path instead (its ranks depend on the
+  // pairwise-complete subset), so it never needs sum_ab.
+  std::uint32_t* cols = scratch.cols;
+  std::size_t dense = 0;
+  for (std::size_t j = tile.col_begin; j < tile.col_end; ++j) {
+    if (has_missing_[j] == 0) cols[dense++] = static_cast<std::uint32_t>(j);
+  }
+  std::size_t count = dense;
+  for (std::size_t j = tile.col_begin; j < tile.col_end; ++j) {
+    if (has_missing_[j] != 0) cols[count++] = static_cast<std::uint32_t>(j);
+  }
+  bool masked_rows = false;
   for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
-    float* row = scratch + (i - tile.row_begin) * tile.ld;
-    for (std::size_t j = ta == tb ? i + 1 : tile.col_begin; j < tile.col_end;
-         ++j) {
-      row[j - tile.col_begin] = distance_unchecked(i, j);
+    masked_rows = masked_rows || has_missing_[i] != 0;
+  }
+  const bool batched_sums = metric_ != Metric::kSpearman;
+  const std::size_t group_size = stride_ * kGroup;
+  scratch.group_count = 0;
+#if FV_SIM_AVX512
+  scratch.missing.clear();
+  scratch.missing_bits.assign(stride_, 0);
+#endif
+  for (std::size_t begin = 0; begin < count;) {
+    TileScratch::Group& group = scratch.groups[scratch.group_count++];
+    group.begin = begin;
+    group.dense = begin < dense;
+    group.size = std::min(kGroup, (group.dense ? dense : count) - begin);
+    begin += group.size;
+    const std::uint32_t* members = cols + group.begin;
+    const std::size_t slot = &group - scratch.groups;
+    if (group.dense) {
+      group.degenerate = 0;
+      for (std::size_t p = 0; p < group.size; ++p) {
+        if (degenerate_[members[p]] != 0) group.degenerate |= 1u << p;
+      }
+      if (float_kernel_) {
+        scratch.packed_norm.resize((slot + 1) * group_size);
+        pack_group(normalized_.data(), members, group.size, stride_,
+                   scratch.packed_norm.data() + slot * group_size);
+      } else {
+        scratch.packed_norm_wide.resize((slot + 1) * group_size);
+        pack_group(normalized_.data(), members, group.size, stride_,
+                   scratch.packed_norm_wide.data() + slot * group_size);
+      }
+    }
+    // Dense columns meet the filled-row kernel only through masked rows.
+    if (!batched_sums || (group.dense && !masked_rows)) continue;
+    scratch.packed_filled.resize((slot + 1) * group_size);
+    pack_group(filled_.data(), members, group.size, stride_,
+               scratch.packed_filled.data() + slot * group_size);
+#if FV_SIM_AVX512
+    std::fill(group.sum, group.sum + kGroup, 0.0);
+    std::fill(group.sumsq, group.sumsq + kGroup, 0.0);
+    std::uint32_t lo = static_cast<std::uint32_t>(stride_), hi = 0;
+    for (std::size_t p = 0; p < group.size; ++p) {
+      const std::size_t j = members[p];
+      group.sum[p] = own_sum_[j];
+      group.sumsq[p] = own_sumsq_[j];
+      for (std::uint32_t m = missing_begin_[j]; m < missing_begin_[j + 1];
+           ++m) {
+        const std::uint32_t k = missing_idx_[m];
+        scratch.missing_bits[k] |= 1u << p;
+        lo = std::min(lo, k);
+        hi = std::max(hi, k + 1);
+      }
+    }
+    group.missing_begin = scratch.missing.size();
+    for (std::uint32_t k = lo; k < hi; ++k) {
+      if (scratch.missing_bits[k] == 0) continue;
+      scratch.missing.emplace_back(k, scratch.missing_bits[k]);
+      scratch.missing_bits[k] = 0;
+    }
+    group.missing_end = scratch.missing.size();
+#endif
+  }
+
+  scratch.wide_norm.resize(stride_);
+  scratch.wide_filled.resize(stride_);
+  double dots[kGroup];
+  float dist[kGroup];
+  for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
+    float* row = values + (i - tile.row_begin) * tile.ld;
+    const bool i_masked = has_missing_[i] != 0;
+    // The double kernels read row i widened once per tile row.
+    if (!float_kernel_ && !i_masked) {
+      const float* src = normalized_.data() + i * stride_;
+      std::copy(src, src + stride_, scratch.wide_norm.begin());
+    }
+    if (batched_sums && (i_masked || count > dense)) {
+      const float* src = filled_.data() + i * stride_;
+      std::copy(src, src + stride_, scratch.wide_filled.begin());
+    }
+    for (std::size_t g = 0; g < scratch.group_count; ++g) {
+      const TileScratch::Group& group = scratch.groups[g];
+      const std::uint32_t* members = cols + group.begin;
+      // Columns ascend within a group: nothing above the diagonal here.
+      if (diagonal && members[group.size - 1] <= i) continue;
+      if (!i_masked && group.dense) {
+        // Dense x dense: similarity_unchecked's fast path, kGroup at once.
+        if (float_kernel_) {
+          dot_group_float(normalized_.data() + i * stride_,
+                          scratch.packed_norm.data() + g * group_size,
+                          stride_, dots);
+        } else {
+          dot_group_double(scratch.wide_norm.data(),
+                           scratch.packed_norm_wide.data() + g * group_size,
+                           stride_, dots);
+        }
+        dense_group_distances(
+            dots, degenerate_[i] != 0 ? ~std::uint32_t{0} : group.degenerate,
+            dist);
+      } else if (batched_sums) {
+        // A masked row or column: masked_similarity with its sum_ab dot
+        // and its finish batched.
+        dot_group_double(scratch.wide_filled.data(),
+                         scratch.packed_filled.data() + g * group_size,
+                         stride_, dots);
+        masked_group_distances(i, scratch, g, dots, dist);
+      } else {
+        for (std::size_t p = 0; p < group.size; ++p) {
+          dist[p] = !diagonal || members[p] > i
+                        ? distance_unchecked(i, members[p])
+                        : 0.0f;
+        }
+      }
+      for (std::size_t p = 0; p < group.size; ++p) {
+        if (!diagonal || members[p] > i) {
+          row[members[p] - tile.col_begin] = dist[p];
+        }
+      }
     }
   }
+}
+
+void SimilarityEngine::masked_group_distances(std::size_t i,
+                                              const TileScratch& scratch,
+                                              std::size_t g,
+                                              const double* sum_ab,
+                                              float* out) const {
+  const TileScratch::Group& group = scratch.groups[g];
+  const bool centered = metric_ == Metric::kPearson;
+#if FV_SIM_AVX512
+  // pair_sums + finish_centered / finish_uncentered for 8 pairs per
+  // vector, operation for operation:
+  //  * sum_a/sum_aa start at row i's own sums and, for each cell k some
+  //    column lacks (ascending, as pair_sums walks the column's missing
+  //    list), drop i's value in exactly the lanes whose column lacks k —
+  //    when i has k; n starts at present(i) and drops 1 there, which is
+  //    common_present's count;
+  //  * sum_b/sum_bb start at the columns' own sums and, for each cell i
+  //    lacks, drop the columns' filled values in every lane: a column
+  //    that lacks the cell too holds a filled 0, and x - 0 and
+  //    fma(-0, 0, x) are exactly x, so those lanes are unchanged just as
+  //    pair_sums skips them;
+  //  * the finish is correctly rounded sub/mul/div/sqrt and exact
+  //    comparisons in the scalar order, its early returns a zero mask.
+  // Pad lanes past group.size hold n = 0 and are never read.
+  const double* filled_i = scratch.wide_filled.data();
+  const double* packed = scratch.packed_filled.data() + g * stride_ * kGroup;
+  const __m512d one = _mm512_set1_pd(1.0);
+  const __m512d zero = _mm512_setzero_pd();
+  for (std::size_t half = 0; half < kGroup; half += 8) {
+    __m512d n = _mm512_set1_pd(static_cast<double>(present_[i]));
+    __m512d sa = _mm512_set1_pd(own_sum_[i]);
+    __m512d saa = _mm512_set1_pd(own_sumsq_[i]);
+    for (std::size_t m = group.missing_begin; m < group.missing_end; ++m) {
+      const auto [k, bits] = scratch.missing[m];
+      if (!present_at(i, k)) continue;
+      const __mmask8 lanes = static_cast<__mmask8>(bits >> half);
+      const __m512d x = _mm512_set1_pd(filled_i[k]);
+      n = _mm512_mask_sub_pd(n, lanes, n, one);
+      sa = _mm512_mask_sub_pd(sa, lanes, sa, x);
+      saa = _mm512_mask3_fnmadd_pd(x, x, saa, lanes);
+    }
+    __m512d sb = _mm512_loadu_pd(group.sum + half);
+    __m512d sbb = _mm512_loadu_pd(group.sumsq + half);
+    for (std::uint32_t m = missing_begin_[i]; m < missing_begin_[i + 1]; ++m) {
+      const __m512d y =
+          _mm512_loadu_pd(packed + missing_idx_[m] * kGroup + half);
+      sb = _mm512_sub_pd(sb, y);
+      sbb = _mm512_fnmadd_pd(y, y, sbb);
+    }
+    if (group.size <= half) n = zero;
+    const __m512d sab = _mm512_loadu_pd(sum_ab + half);
+    __mmask8 is_zero = _mm512_cmp_pd_mask(
+        n, _mm512_set1_pd(static_cast<double>(stats::kMinCompletePairs)),
+        _CMP_LT_OQ);
+    __m512d r;
+    if (centered) {
+      const __m512d cov =
+          _mm512_sub_pd(sab, _mm512_div_pd(_mm512_mul_pd(sa, sb), n));
+      const __m512d var_a =
+          _mm512_sub_pd(saa, _mm512_div_pd(_mm512_mul_pd(sa, sa), n));
+      const __m512d var_b =
+          _mm512_sub_pd(sbb, _mm512_div_pd(_mm512_mul_pd(sb, sb), n));
+      const __m512d eps = _mm512_set1_pd(1e-12);
+      is_zero |= _mm512_cmp_pd_mask(var_a, _mm512_mul_pd(eps, saa),
+                                    _CMP_LE_OQ) |
+                 _mm512_cmp_pd_mask(var_b, _mm512_mul_pd(eps, sbb),
+                                    _CMP_LE_OQ);
+      r = _mm512_div_pd(cov, _mm512_sqrt_pd(_mm512_mul_pd(var_a, var_b)));
+    } else {
+      is_zero |= _mm512_cmp_pd_mask(saa, zero, _CMP_LE_OQ) |
+                 _mm512_cmp_pd_mask(sbb, zero, _CMP_LE_OQ);
+      r = _mm512_div_pd(sab, _mm512_sqrt_pd(_mm512_mul_pd(saa, sbb)));
+    }
+    store_distances(r, is_zero, out + half);
+  }
+#else
+  for (std::size_t p = 0; p < group.size; ++p) {
+    PairSums s = pair_sums(i, scratch.cols[group.begin + p]);
+    s.sum_ab = sum_ab[p];
+    const double r = centered ? finish_centered(s) : finish_uncentered(s);
+    out[p] = static_cast<float>(1.0 - r);
+  }
+#endif
 }
 
 void SimilarityEngine::release_row_pages(std::size_t begin,
@@ -570,11 +1083,11 @@ void SimilarityEngine::for_each_tile(
   // cursor (workers touch tiles in pull order), so pages stay resident
   // until the phase ends — residency streaming is the SERIAL driver's job.
   check_backing();
-  TileScratchPool scratch;
+  ScratchPool<TileScratch> scratch;
   par::parallel_dynamic(pool, 0, tile_count(), [&](std::size_t t) {
-    std::vector<float> block = scratch.acquire();
+    TileScratch block = scratch.acquire();
     DistanceTile tile;
-    compute_tile(t, block.data(), tile);
+    compute_tile(t, block, tile);
     visit(tile);
     scratch.release(std::move(block));
   });
@@ -585,7 +1098,7 @@ void SimilarityEngine::for_each_tile(
   FV_REQUIRE(precompute_ == Precompute::kAllPairs,
              "for_each_tile() requires Precompute::kAllPairs");
   if (count_ < 2) return;
-  std::vector<float> block(kTile * kTile);
+  TileScratch block;
   // The same linear schedule positions t = 0, 1, 2, … the pooled driver
   // uses, walked as explicit row stripes (ta fixed, tb ascending) so a
   // borrowed-mapped engine can stream: rows enter the resident set when
@@ -601,7 +1114,7 @@ void SimilarityEngine::for_each_tile(
     check_backing();
     for (std::size_t tb = ta; tb < blocks; ++tb, ++t) {
       DistanceTile tile;
-      compute_tile(t, block.data(), tile);
+      compute_tile(t, block, tile);
       visit(tile);
       // The column block's rows are done for THIS stripe; later stripes
       // refault them from the page cache on demand. Keeping the diagonal
@@ -701,12 +1214,12 @@ void SimilarityEngine::condensed_squared_distances(
 
 namespace {
 
-/// One nearest-neighbor candidate in a bounded per-row heap. Ordered
+/// One nearest-neighbor candidate in a per-row top-k buffer. Ordered
 /// lexicographically by (distance, index): the global top-k under this
 /// total order is what top_k_neighbors returns, which makes results
 /// deterministic under any thread schedule (every global top-k entry is
 /// among the k (distance, index)-smallest of whichever slot saw it, so the
-/// union of slot heaps always contains the true top-k).
+/// union of slot buffers always contains the true top-k).
 struct NeighborEntry {
   float d = 0.0f;
   std::uint32_t idx = 0;
@@ -717,25 +1230,65 @@ struct NeighborEntry {
 
 /// Per-thread top-k state: n bounded max-heaps in one slab. Slots are
 /// checked out per tile visit, so at most pool.thread_count() exist.
-struct TopKSlot {
-  std::vector<NeighborEntry> heap;  ///< n x k slab
-  std::vector<std::uint32_t> size;  ///< live entries per row
+class TopKSlot {
+ public:
+  TopKSlot(std::size_t n, std::size_t k) : k_(k), heap_(n * k), size_(n, 0) {}
 
-  TopKSlot(std::size_t n, std::size_t k) : heap(n * k), size(n, 0) {}
+  /// Largest distance push() may still accept for `row`: the heap top's
+  /// once the heap is full (an equal distance can still enter on a
+  /// smaller index), +inf before that.
+  float threshold(std::size_t row) const {
+    return size_[row] == k_ ? heap_[row * k_].d
+                            : std::numeric_limits<float>::infinity();
+  }
 
-  void push(std::size_t row, std::size_t k, NeighborEntry e) {
-    NeighborEntry* base = heap.data() + row * k;
-    std::uint32_t& s = size[row];
-    if (s < k) {
+  void push(std::size_t row, NeighborEntry e) {
+    NeighborEntry* base = heap_.data() + row * k_;
+    std::uint32_t& s = size_[row];
+    if (s < k_) {
       base[s++] = e;
       std::push_heap(base, base + s);
     } else if (e < base[0]) {
-      std::pop_heap(base, base + k);
-      base[k - 1] = e;
-      std::push_heap(base, base + k);
+      std::pop_heap(base, base + k_);
+      base[k_ - 1] = e;
+      std::push_heap(base, base + k_);
     }
   }
+
+  std::span<const NeighborEntry> entries(std::size_t row) const {
+    return {heap_.data() + row * k_, size_[row]};
+  }
+
+ private:
+  std::size_t k_;
+  std::vector<NeighborEntry> heap_;  ///< n x k slab
+  std::vector<std::uint32_t> size_;  ///< live entries per row
 };
+
+/// Bit c set when tile value d[c] (c < count <= kGroup) is not above
+/// `row_threshold` or not above col_threshold[c]: the pairs that might
+/// enter row i's or column c's top-k. Every other pair has k smaller
+/// entries on both sides already. NaN compares not-above and is pushed.
+std::uint32_t heap_candidates(const float* d, const float* col_threshold,
+                              float row_threshold, std::size_t count) {
+#if defined(__AVX512F__)
+  const __mmask16 valid =
+      static_cast<__mmask16>((std::uint32_t{1} << count) - 1);
+  const __m512 v = _mm512_maskz_loadu_ps(valid, d);
+  const __mmask16 over_row = _mm512_mask_cmp_ps_mask(
+      valid, v, _mm512_set1_ps(row_threshold), _CMP_GT_OQ);
+  const __mmask16 over_col = _mm512_mask_cmp_ps_mask(
+      valid, v, _mm512_maskz_loadu_ps(valid, col_threshold), _CMP_GT_OQ);
+  return static_cast<std::uint32_t>(valid & ~(over_row & over_col));
+#else
+  std::uint32_t live = 0;
+  for (std::size_t c = 0; c < count; ++c) {
+    const bool over = d[c] > row_threshold && d[c] > col_threshold[c];
+    live |= static_cast<std::uint32_t>(!over) << c;
+  }
+  return live;
+#endif
+}
 
 /// Monotone-decreasing publish of a row's heap threshold. Stale (larger)
 /// values only cost prunes, never correctness, so relaxed order suffices.
@@ -821,27 +1374,97 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     free_slots.push_back(slot);
   };
 
-  // Pushes every surviving pair of one computed tile into a slot's heaps.
-  // Shared verbatim by both strategies, so they cannot drift.
+  // Pushes every pair of one computed tile that can still enter a heap
+  // into the slot. Shared verbatim by both tile strategies, so they cannot
+  // drift. Each 16-value run of a tile row is first compared against the
+  // row's heap threshold and the columns' ones (heap_candidates); only
+  // survivors pay min_common and push(). Cached column thresholds go stale
+  // as pushes lower them, which only lets extra pairs through to push().
   const auto consume_tile = [&](const DistanceTile& tile, TopKSlot& slot) {
+    const std::size_t width = tile.col_end - tile.col_begin;
+    float col_threshold[kTile];
+    for (std::size_t c = 0; c < width; ++c) {
+      col_threshold[c] = slot.threshold(tile.col_begin + c);
+    }
     for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
-      const std::size_t j_first = std::max(tile.col_begin, i + 1);
+      const float* d = tile.values + (i - tile.row_begin) * tile.ld;
       const bool i_missing = has_missing_[i] != 0;
-      for (std::size_t j = j_first; j < tile.col_end; ++j) {
-        if (min_common > 0) {
-          // Dense pairs share all length() cells; only pairs touching a
-          // masked row pay the popcount.
-          const std::size_t common =
-              i_missing || has_missing_[j] != 0 ? common_present(i, j)
-                                                : length_;
-          if (common < min_common) continue;
+      float row_threshold = slot.threshold(i);
+      for (std::size_t c0 = std::max(tile.col_begin, i + 1) - tile.col_begin;
+           c0 < width; c0 += kGroup) {
+        std::uint32_t live =
+            heap_candidates(d + c0, col_threshold + c0, row_threshold,
+                            std::min(kGroup, width - c0));
+        for (; live != 0; live &= live - 1) {
+          const std::size_t c = c0 + std::countr_zero(live);
+          const std::size_t j = tile.col_begin + c;
+          if (min_common > 0) {
+            // Dense pairs share all length() cells; only pairs touching a
+            // masked row pay the popcount.
+            const std::size_t common =
+                i_missing || has_missing_[j] != 0 ? common_present(i, j)
+                                                  : length_;
+            if (common < min_common) continue;
+          }
+          const float dist = d[c];
+          if (!(dist > row_threshold)) {
+            slot.push(i, {dist, static_cast<std::uint32_t>(j)});
+            row_threshold = slot.threshold(i);
+          }
+          if (!(dist > col_threshold[c])) {
+            slot.push(j, {dist, static_cast<std::uint32_t>(i)});
+            col_threshold[c] = slot.threshold(j);
+          }
         }
-        const float dist = tile.at(i, j);
-        slot.push(i, kk, {dist, static_cast<std::uint32_t>(j)});
-        slot.push(j, kk, {dist, static_cast<std::uint32_t>(i)});
       }
     }
   };
+
+  std::vector<float> block_max;
+  std::vector<std::uint8_t> block_prunable;
+  if (strategy == TopKStrategy::kPruned) {
+    // --- Norm-bound tile pruning ------------------------------------
+    // Per 64-row block: the segment-wise max norms of its rows (an
+    // envelope) and whether every row is dense. For blocks A, B the dot
+    // of any cross pair (i in A, j in B) obeys
+    //   dot(a_i, a_j) <= Σ_s ||a_i[s]||·||a_j[s]||   (Cauchy–Schwarz per
+    //                                                 segment)
+    //                 <= Σ_s amax[s]·bmax[s]          (the envelope),
+    // so every pair distance in tile (A, B) is at least
+    // 1 - Σ_s amax[s]·bmax[s] - slack, where the slack covers kernel and
+    // cast rounding (see build()). A tile whose bound strictly beats the
+    // published heap threshold of every row it touches cannot contribute
+    // a single heap entry and is skipped whole.
+    const std::size_t blocks = (n + kTile - 1) / kTile;
+    block_max.assign(blocks * seg_count_, 0.0f);
+    block_prunable.assign(blocks, 1);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::size_t row_end = std::min(n, (b + 1) * kTile);
+      float* bmax = block_max.data() + b * seg_count_;
+      for (std::size_t i = b * kTile; i < row_end; ++i) {
+        if (has_missing_[i] != 0) {
+          // A masked pair's correlation re-centers over the pairwise-
+          // complete subset; no full-row norm bounds it. Every tile
+          // touching this block computes exactly.
+          block_prunable[b] = 0;
+          break;
+        }
+        const float* sn = seg_norms_.data() + i * seg_count_;
+        for (std::size_t s = 0; s < seg_count_; ++s) {
+          bmax[s] = std::max(bmax[s], sn[s]);
+        }
+      }
+    }
+
+    // Without a single prunable block no tile bound is ever checked,
+    // so the diagonal order, the shared thresholds and the per-tile
+    // publishing below would be pure overhead: the exact driver
+    // returns the same table and the same statistics.
+    if (std::find(block_prunable.begin(), block_prunable.end(), 1) ==
+        block_prunable.end()) {
+      strategy = TopKStrategy::kExact;
+    }
+  }
 
   if (strategy == TopKStrategy::kApprox) {
     // --- LSH candidates + exact rescoring ---------------------------
@@ -884,8 +1507,8 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
         }
         const float dist = distance_unchecked(i, j);
         ++local;
-        slot->push(i, kk, {dist, static_cast<std::uint32_t>(j)});
-        slot->push(j, kk, {dist, static_cast<std::uint32_t>(i)});
+        slot->push(i, {dist, static_cast<std::uint32_t>(j)});
+        slot->push(j, {dist, static_cast<std::uint32_t>(i)});
       }
       rescored.fetch_add(local, std::memory_order_relaxed);
       release(slot);
@@ -915,39 +1538,6 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
         },
         pool);
   } else {
-    // --- Norm-bound tile pruning ------------------------------------
-    // Per 64-row block: the segment-wise max norms of its rows (an
-    // envelope) and whether every row is dense. For blocks A, B the dot
-    // of any cross pair (i in A, j in B) obeys
-    //   dot(a_i, a_j) <= Σ_s ||a_i[s]||·||a_j[s]||   (Cauchy–Schwarz per
-    //                                                 segment)
-    //                 <= Σ_s amax[s]·bmax[s]          (the envelope),
-    // so every pair distance in tile (A, B) is at least
-    // 1 - Σ_s amax[s]·bmax[s] - slack, where the slack covers kernel and
-    // cast rounding (see build()). A tile whose bound strictly beats the
-    // published heap threshold of every row it touches cannot contribute
-    // a single heap entry and is skipped whole.
-    const std::size_t blocks = (n + kTile - 1) / kTile;
-    std::vector<float> block_max(blocks * seg_count_, 0.0f);
-    std::vector<std::uint8_t> block_prunable(blocks, 1);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t row_end = std::min(n, (b + 1) * kTile);
-      float* bmax = block_max.data() + b * seg_count_;
-      for (std::size_t i = b * kTile; i < row_end; ++i) {
-        if (has_missing_[i] != 0) {
-          // A masked pair's correlation re-centers over the pairwise-
-          // complete subset; no full-row norm bounds it. Every tile
-          // touching this block computes exactly.
-          block_prunable[b] = 0;
-          break;
-        }
-        const float* sn = seg_norms_.data() + i * seg_count_;
-        for (std::size_t s = 0; s < seg_count_; ++s) {
-          bmax[s] = std::max(bmax[s], sn[s]);
-        }
-      }
-    }
-
     // Shared per-row heap thresholds: the k-th-smallest distance any one
     // slot has seen so far for the row (+inf until some slot's heap is
     // full). The k-th smallest of a SUBSET of a row's candidates can only
@@ -973,6 +1563,7 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     struct TileRef {
       std::size_t index, ta, tb;
     };
+    const std::size_t blocks = block_prunable.size();
     std::vector<TileRef> order;
     order.reserve(tile_count());
     for (std::size_t d = 0; d < blocks; ++d) {
@@ -983,7 +1574,7 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
 
     std::atomic<std::size_t> pruned_tiles{0};
     std::atomic<std::size_t> checked_bounds{0};
-    TileScratchPool scratch;
+    ScratchPool<TileScratch> scratch;
     par::parallel_dynamic(pool, 0, order.size(), [&](std::size_t pos) {
       const auto [t, ta, tb] = order[pos];
       const std::size_t row_begin = ta * kTile;
@@ -1018,18 +1609,16 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
         }
       }
 
-      std::vector<float> block = scratch.acquire();
+      TileScratch block = scratch.acquire();
       DistanceTile tile;
-      compute_tile(t, block.data(), tile);
+      compute_tile(t, block, tile);
       TopKSlot* slot = acquire();
       consume_tile(tile, *slot);
-      // Broadcast the freshly-tightened heap minima back into the
-      // schedule so later tiles prune against them. Only full heaps
-      // publish — a short heap's max says nothing about the k-th-best.
+      // Broadcast the freshly-tightened row thresholds back into the
+      // schedule so later tiles prune against them. A row that has not
+      // seen k candidates yet still holds +inf and publishes nothing.
       const auto publish = [&](std::size_t r) {
-        if (slot->size[r] == kk) {
-          publish_min(thresholds[r], slot->heap[r * kk].d);
-        }
+        publish_min(thresholds[r], slot->threshold(r));
       };
       for (std::size_t i = row_begin; i < row_end; ++i) publish(i);
       if (tb != ta) {
@@ -1049,17 +1638,18 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     }
   }
 
-  // Merge: per row, the union of slot heaps contains the global
-  // (distance, index)-smallest k; sort it and keep the head. Rows are
-  // independent, so the merge itself parallelizes statically.
+  // Merge: per row, the union of slot buffers contains the global
+  // (distance, index)-smallest k; select them in order and keep the head.
+  // Rows are independent, so the merge itself parallelizes statically.
   par::parallel_for(pool, 0, n, 64, [&](std::size_t i) {
     std::vector<NeighborEntry> candidates;
     for (const auto& slot : slots) {
-      const NeighborEntry* base = slot->heap.data() + i * kk;
-      candidates.insert(candidates.end(), base, base + slot->size[i]);
+      const auto entries = slot->entries(i);
+      candidates.insert(candidates.end(), entries.begin(), entries.end());
     }
-    std::sort(candidates.begin(), candidates.end());
     const std::size_t keep = std::min(kk, candidates.size());
+    std::partial_sort(candidates.begin(), candidates.begin() + keep,
+                      candidates.end());
     table.valid[i] = static_cast<std::uint32_t>(keep);
     for (std::size_t s = 0; s < keep; ++s) {
       table.indices[i * kk + s] = candidates[s].idx;

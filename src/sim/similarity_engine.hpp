@@ -452,9 +452,14 @@ class SimilarityEngine {
   void build(std::span<const float> flat, std::size_t count,
              std::size_t length, Metric metric, Precompute precompute,
              DenseKernel kernel);
-  /// Computes tile `t` of the schedule into `scratch` (>= kTile*kTile
-  /// floats) and fills `tile` to describe it.
-  void compute_tile(std::size_t t, float* scratch, DistanceTile& tile) const;
+  /// One tile worker's reusable buffers: the tile's values plus the
+  /// transposed column groups of the batched kernel (defined in the .cpp).
+  struct TileScratch;
+  /// Computes tile `t` of the schedule into `scratch` and fills `tile` to
+  /// describe it. Every value is bit-identical to distance_unchecked() of
+  /// its pair; see src/sim/README.md §tile kernel.
+  void compute_tile(std::size_t t, TileScratch& scratch,
+                    DistanceTile& tile) const;
   /// distance()/similarity() without the per-pair argument checks — the
   /// tile loop calls these O(n²) times with schedule-guaranteed indices,
   /// and the check branches are measurable next to a 96-element dot
@@ -468,6 +473,18 @@ class SimilarityEngine {
   }
   std::size_t common_present(std::size_t i, std::size_t j) const;
   double masked_similarity(std::size_t i, std::size_t j) const;
+  /// Pairwise-complete moment sums of a masked pair (defined in the .cpp).
+  struct PairSums;
+  /// The sums of masked pair (i, j) except sum_ab: each row's own sums
+  /// minus O(#missing) corrections over the cells the other row lacks.
+  /// Shared by the scalar path and the batched tile kernel.
+  PairSums pair_sums(std::size_t i, std::size_t j) const;
+  /// Distances of the Pearson/uncentered masked pairs between row i and
+  /// the columns of compute_tile's group `g`, given their filled-row dots
+  /// sum_ab[p] — the batched tile kernel's form of masked_similarity().
+  void masked_group_distances(std::size_t i, const TileScratch& scratch,
+                              std::size_t g, const double* sum_ab,
+                              float* out) const;
   float euclidean_distance(std::size_t i, std::size_t j) const;
   /// Streaming residency hooks — no-ops on owned engines. check_backing()
   /// turns a foreign truncation of the mapped artifact into a typed

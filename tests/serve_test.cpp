@@ -547,4 +547,77 @@ TEST(ServeHttp, RequestParsing) {
       fv::ParseError);
 }
 
+TEST(ServeHttp, ContentLengthIsParsedExactly) {
+  using fv::serve::parse_http_request;
+  const auto with_length = [](const std::string& header) {
+    return "POST /a HTTP/1.1\r\n" + header + "\r\n\r\n{}";
+  };
+  // Blanks around the digits and an agreeing repeat are accepted.
+  EXPECT_EQ(parse_http_request(with_length("Content-Length: \t2 ")).body,
+            "{}");
+  EXPECT_EQ(parse_http_request(
+                with_length("content-length: 2\r\nContent-Length: 2"))
+                .body,
+            "{}");
+  // Every other spelling is a typed parse error, never a guessed length.
+  for (const char* value :
+       {"-1", "+2", "2x", "0x2", "2 3", "", "1e1", "18446744073709551616",
+        "99999999999999999999999999"}) {
+    EXPECT_THROW(
+        parse_http_request(with_length(std::string("Content-Length: ") +
+                                       value)),
+        fv::ParseError)
+        << "Content-Length: " << value;
+  }
+  EXPECT_THROW(parse_http_request(
+                   with_length("Content-Length: 2\r\nContent-Length: 3")),
+               fv::ParseError);
+  // "content-length:" outside a header name declares nothing.
+  const HttpRequest request = parse_http_request(
+      "GET /a?content-length:5 HTTP/1.1\r\nX-Note: content-length: 7\r\n"
+      "\r\n");
+  EXPECT_EQ(request.path, "/a");
+  EXPECT_EQ(request.body, "");
+}
+
+TEST(ServeHttp, ListenerFramesBodiesByTheExactContentLength) {
+  fv::serve::HttpServer server([](const HttpRequest& request) {
+    HttpResponse response;
+    response.body = "{\"bytes\":" + std::to_string(request.body.size()) + "}";
+    return response;
+  });
+  const auto exchange = [&server](const std::string& raw) {
+    return fv::serve::http_exchange(server.port(), raw);
+  };
+  const auto status_of = [](const std::string& response) {
+    return response.substr(0, response.find("\r\n"));
+  };
+  for (const char* value :
+       {"-1", "+2", "2x", "2 3", "", "18446744073709551616"}) {
+    EXPECT_EQ(status_of(exchange(std::string("POST /x HTTP/1.1\r\n"
+                                             "Content-Length: ") +
+                                 value + "\r\n\r\n{}")),
+              "HTTP/1.1 400 Bad Request")
+        << "Content-Length: " << value;
+  }
+  EXPECT_EQ(status_of(exchange("POST /x HTTP/1.1\r\nContent-Length: 2\r\n"
+                               "Content-Length: 3\r\n\r\n{}")),
+            "HTTP/1.1 400 Bad Request");
+  // A query string or header value mentioning content-length used to set
+  // the framed body size: the listener then waited for bytes that never
+  // came and answered 413. Only the header name counts now.
+  const std::string queried =
+      exchange("GET /x?content-length:5 HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(status_of(queried), "HTTP/1.1 200 OK");
+  EXPECT_NE(queried.find("{\"bytes\":0}"), std::string::npos);
+  EXPECT_EQ(status_of(exchange("GET /x HTTP/1.1\r\nX-Note: content-length: 7"
+                               "\r\n\r\n")),
+            "HTTP/1.1 200 OK");
+  // A valid length still frames the body exactly.
+  const std::string posted =
+      exchange("POST /x HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}");
+  EXPECT_NE(posted.find("{\"bytes\":2}"), std::string::npos);
+  server.stop();
+}
+
 }  // namespace

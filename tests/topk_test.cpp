@@ -9,10 +9,16 @@
 // kernel's block-flush error bound against the double reference across row
 // lengths.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <mutex>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/distance.hpp"
@@ -20,6 +26,8 @@
 #include "par/thread_pool.hpp"
 #include "sim/similarity_engine.hpp"
 #include "stats/descriptive.hpp"
+#include "store/artifact_store.hpp"
+#include "store/cached.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/triangular.hpp"
@@ -340,6 +348,46 @@ TEST(TopKPrunedTest, HeavilyMaskedRowsWithMinCommonMatchExact) {
   expect_table_matches_reference(engine, 4, 6, pool);
 }
 
+TEST(TopKPrunedTest, NoPrunableBlockRunsTheExactDriver) {
+  // Every 64-row block holds a masked row (the served compendium's shape),
+  // so no tile bound can ever be checked: kPruned and kAuto run the exact
+  // driver and must report exactly what kExact reports, field for field.
+  const auto m = random_matrix(200, 24, 0.05, 4242);
+  const auto engine = sm::SimilarityEngine::from_rows(m, sm::Metric::kPearson);
+  for (std::size_t b = 0; b * 64 < m.rows(); ++b) {
+    bool masked = false;
+    for (std::size_t i = b * 64; i < std::min<std::size_t>(m.rows(), b * 64 + 64);
+         ++i) {
+      masked = masked || engine.row_has_missing(i);
+    }
+    ASSERT_TRUE(masked) << "block " << b << " is prunable";
+  }
+  fv::par::ThreadPool pool(2);
+  for (const std::size_t min_common : {0u, 6u}) {
+    sm::TopKStats exact_stats;
+    const auto exact = engine.top_k_neighbors(
+        7, pool, min_common, sm::TopKStrategy::kExact, &exact_stats);
+    for (const auto strategy :
+         {sm::TopKStrategy::kPruned, sm::TopKStrategy::kAuto}) {
+      sm::TopKStats stats;
+      const auto table =
+          engine.top_k_neighbors(7, pool, min_common, strategy, &stats);
+      expect_tables_identical(table, exact);
+      EXPECT_EQ(stats.tiles_total, exact_stats.tiles_total);
+      EXPECT_EQ(stats.tiles_computed, exact_stats.tiles_computed);
+      EXPECT_EQ(stats.tiles_pruned, 0u);
+      EXPECT_EQ(stats.bounds_checked, 0u);
+      EXPECT_EQ(stats.exact_dot_fraction, 1.0);
+      EXPECT_EQ(stats.signatures_built, exact_stats.signatures_built);
+      EXPECT_EQ(stats.buckets_probed, exact_stats.buckets_probed);
+      EXPECT_EQ(stats.candidates_generated, exact_stats.candidates_generated);
+      EXPECT_EQ(stats.candidates_rescored, exact_stats.candidates_rescored);
+      EXPECT_EQ(stats.exact_dot_fraction, exact_stats.exact_dot_fraction);
+    }
+  }
+  expect_table_matches_reference(engine, 7, 6, pool);
+}
+
 TEST(TopKPrunedTest, KPastRowCountIsTheNoPruneDegenerateCase) {
   // k >= n - 1: a row's heap only fills once it has seen every candidate,
   // so thresholds publish too late to matter and every tile computes. The
@@ -545,5 +593,173 @@ TEST(FloatKernelTest, ForcedFloatStaysInsideScalarContractOnRealShapes) {
     }
   }
 }
+
+// --- Batched tile kernel ---------------------------------------------------
+
+/// Rows of every kind the batched tile kernel treats differently: dense,
+/// masked (a few missing cells), an exact affine copy of the previous row
+/// (correlation 1, so the clamp matters), degenerate (constant) and
+/// all-missing — interleaved so 16-column groups and 64-row tiles mix them.
+ex::ExpressionMatrix tile_kernel_matrix(std::size_t rows, std::size_t cols,
+                                        std::uint64_t seed) {
+  fv::Rng rng(seed);
+  ex::ExpressionMatrix m(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t kind = r % 7;
+    if (kind == 6) continue;  // all missing
+    for (std::size_t c = 0; c < cols; ++c) {
+      float value = static_cast<float>(std::sin(0.37 * (c + 1.0) + 0.5 * r) +
+                                       rng.normal(0.0, 0.5));
+      if (kind == 2 && r > 0) value = 2.0f * m.at(r - 1, c) + 1.0f;
+      if (kind == 5) value = 1.5f;
+      const bool drop = (kind == 3 || kind == 4) &&
+                        (c == r % cols || rng.uniform() < 0.15);
+      if (!drop) m.set(r, c, value);
+    }
+  }
+  return m;
+}
+
+/// Visits every tile of `engine` (pooled, then serially) and checks each
+/// pair's tile value against distance(i, j) bit for bit. Returns the
+/// pooled values as an n x n matrix (upper triangle filled).
+std::vector<float> expect_tiles_equal_pairwise(
+    const sm::SimilarityEngine& engine, fv::par::ThreadPool& pool) {
+  const std::size_t n = engine.size();
+  std::vector<float> pooled(n * n, -1.0f), serial(n * n, -2.0f);
+  std::mutex mutex;
+  const auto into = [&](std::vector<float>& out) {
+    return [&out, &mutex, n](const sm::DistanceTile& tile) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
+        for (std::size_t j = std::max(tile.col_begin, i + 1);
+             j < tile.col_end; ++j) {
+          out[i * n + j] = tile.at(i, j);
+        }
+      }
+    };
+  };
+  engine.for_each_tile(into(pooled), pool);
+  engine.for_each_tile(into(serial));
+  std::size_t mismatches = 0;
+  std::string first;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const float reference = engine.distance(i, j);
+      const bool same =
+          std::memcmp(&pooled[i * n + j], &reference, sizeof(float)) == 0 &&
+          std::memcmp(&serial[i * n + j], &reference, sizeof(float)) == 0;
+      if (!same && mismatches++ == 0) {
+        char line[160];
+        std::snprintf(line, sizeof line,
+                      "(%zu,%zu) pooled %a serial %a distance %a", i, j,
+                      pooled[i * n + j], serial[i * n + j], reference);
+        first = line;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
+  return pooled;
+}
+
+/// (metric index, row length) — lengths pad to strides 16, 32, 96, 256,
+/// 272 and 1024, either side of the float kernel's 256-element flush.
+class TileKernelTest
+    : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {
+ protected:
+  void SetUp() override {
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    // The pid keeps concurrent runs of the suite out of each other's store.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("fv_tile_kernel_" + name + "_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::filesystem::path dir_;
+};
+
+TEST_P(TileKernelTest, TilesEqualPairwiseDistanceBitwise) {
+  const auto [metric_index, length] = GetParam();
+  const auto metric = static_cast<sm::Metric>(metric_index);
+  const bool correlation = metric != sm::Metric::kEuclidean;
+  fv::par::ThreadPool pool(3);
+  fv::store::ArtifactStore store(dir_.string());
+  for (const std::size_t n : {1u, 17u, 63u, 64u, 65u, 130u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto m = tile_kernel_matrix(n, length, 9000 + n + length);
+    const auto heap = sm::SimilarityEngine::from_rows(m, metric);
+    expect_tiles_equal_pairwise(heap, pool);
+    if (correlation) {
+      // The forced-double dense kernel goes through dot_group_double.
+      expect_tiles_equal_pairwise(
+          sm::SimilarityEngine::from_rows(m, metric, sm::Precompute::kAllPairs,
+                                          sm::DenseKernel::kDouble),
+          pool);
+    }
+    const auto mapped = fv::store::open_or_build_engine_mapped(
+        store, fv::store::matrix_key(m), [&]() { return m; }, metric);
+    ASSERT_EQ(mapped.storage(), sm::EngineStorage::kBorrowedMapped);
+    const auto values = expect_tiles_equal_pairwise(mapped, pool);
+
+    // Masked Spearman re-ranks every pair on the scalar path (~0.1 ms a
+    // pair at 1000 conditions); its tiles were checked above, so the
+    // top-k sweep keeps to the shorter rows there.
+    if (n < 2 || (metric == sm::Metric::kSpearman && length > 96)) continue;
+    for (const std::size_t min_common : {0u, 6u}) {
+      // Full-sort reference over the verified pairwise values.
+      std::vector<std::vector<std::pair<float, std::uint32_t>>> rows(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          if (j == i) continue;
+          if (min_common > 0) {
+            std::size_t common = 0;
+            for (std::size_t c = 0; c < length; ++c) {
+              common += heap.value_present(i, c) && heap.value_present(j, c);
+            }
+            if (common < min_common) continue;
+          }
+          const std::size_t a = std::min(i, j), b = std::max(i, j);
+          rows[i].emplace_back(values[a * n + b],
+                               static_cast<std::uint32_t>(j));
+        }
+        std::sort(rows[i].begin(), rows[i].end());
+      }
+      for (const std::size_t k : {std::size_t{1}, std::size_t{5}, n - 1}) {
+        std::vector<sm::TopKStrategy> strategies{sm::TopKStrategy::kExact};
+        if (correlation) strategies.push_back(sm::TopKStrategy::kPruned);
+        for (const auto strategy : strategies) {
+          const auto table =
+              heap.top_k_neighbors(k, pool, min_common, strategy);
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t keep = std::min(table.k, rows[i].size());
+            ASSERT_EQ(table.neighbor_count(i), keep)
+                << "k=" << k << " min_common=" << min_common << " row " << i;
+            for (std::size_t s = 0; s < keep; ++s) {
+              ASSERT_EQ(table.neighbors(i)[s], rows[i][s].second)
+                  << "k=" << k << " min_common=" << min_common << " row "
+                  << i << " slot " << s;
+              ASSERT_EQ(table.neighbor_distances(i)[s], rows[i][s].first);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TileKernelShapes, TileKernelTest,
+    ::testing::Combine(
+        ::testing::Values(static_cast<int>(sm::Metric::kPearson),
+                          static_cast<int>(sm::Metric::kUncenteredPearson),
+                          static_cast<int>(sm::Metric::kSpearman),
+                          static_cast<int>(sm::Metric::kEuclidean)),
+        ::testing::Values(std::size_t{13}, std::size_t{32}, std::size_t{90},
+                          std::size_t{256}, std::size_t{260},
+                          std::size_t{1017})));
 
 }  // namespace
