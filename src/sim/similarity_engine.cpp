@@ -854,6 +854,13 @@ void SimilarityEngine::compute_tile(std::size_t t, TileScratch& scratch,
   }
   const bool batched_sums = metric_ != Metric::kSpearman;
   const std::size_t group_size = stride_ * kGroup;
+  const std::size_t packed_size = std::size(scratch.groups) * group_size;
+  if (float_kernel_) {
+    scratch.packed_norm.resize(packed_size);
+  } else {
+    scratch.packed_norm_wide.resize(packed_size);
+  }
+  if (batched_sums) scratch.packed_filled.resize(packed_size);
   scratch.group_count = 0;
 #if FV_SIM_AVX512
   scratch.missing.clear();
@@ -873,18 +880,15 @@ void SimilarityEngine::compute_tile(std::size_t t, TileScratch& scratch,
         if (degenerate_[members[p]] != 0) group.degenerate |= 1u << p;
       }
       if (float_kernel_) {
-        scratch.packed_norm.resize((slot + 1) * group_size);
         pack_group(normalized_.data(), members, group.size, stride_,
                    scratch.packed_norm.data() + slot * group_size);
       } else {
-        scratch.packed_norm_wide.resize((slot + 1) * group_size);
         pack_group(normalized_.data(), members, group.size, stride_,
                    scratch.packed_norm_wide.data() + slot * group_size);
       }
     }
     // Dense columns meet the filled-row kernel only through masked rows.
     if (!batched_sums || (group.dense && !masked_rows)) continue;
-    scratch.packed_filled.resize((slot + 1) * group_size);
     pack_group(filled_.data(), members, group.size, stride_,
                scratch.packed_filled.data() + slot * group_size);
 #if FV_SIM_AVX512
