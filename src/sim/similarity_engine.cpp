@@ -162,9 +162,10 @@ double dot_padded_float(const float* a, const float* b, std::size_t stride) {
 // lane's kGroup accumulators in registers at any vector width. With
 // AVX-512 (and hardware FMA, which fused_madd then uses) the intrinsics
 // forms keep all 16 lanes' accumulators in registers at once, one zmm per
-// lane, which is what makes the kernel several times faster than the
-// portable form here (GCC prefers 256-bit vectors on current Xeons and
-// then spills the lane array).
+// lane; GCC prefers 256-bit vectors on current Xeons and then spills the
+// lane array. Each intrinsics form below is kept because its portable
+// form measurably loses in a native build; src/sim/README.md (§Tile
+// kernel) gives the measurements.
 #if defined(__AVX512F__) && defined(FP_FAST_FMAF) && defined(FP_FAST_FMA)
 #define FV_SIM_AVX512 1
 #else
@@ -317,7 +318,9 @@ inline void store_distances(__m512d r, __mmask8 zero, float* out) {
 
 /// float(1 - s) for the kGroup dense-pair dots, s = clamp(dot, -1, 1) or 0
 /// where `zero` has bit p set (a degenerate row) — similarity_unchecked's
-/// dense fast path and distance_unchecked's cast, pair by pair.
+/// dense fast path and distance_unchecked's cast, pair by pair. GCC keeps
+/// the portable loop's clamp and select as branches (under the default
+/// -ftrapping-math it does not if-convert them), so it is not vectorized.
 void dense_group_distances(const double* dots, std::uint32_t zero,
                            float* out) {
 #if FV_SIM_AVX512
@@ -722,40 +725,6 @@ float SimilarityEngine::distance_unchecked(std::size_t i,
   return static_cast<float>(1.0 - similarity_unchecked(i, j));
 }
 
-namespace {
-
-/// Scratch-block pool for tile streaming: at most one block per concurrent
-/// visitor invocation is ever live (blocks are returned after each tile),
-/// so the distance phase of a streaming consumer peaks at
-/// O(threads * (kTile² + kTile * stride)) floats of transient state, never
-/// O(n²). The lock is taken twice per tile — noise next to the tile's 4096
-/// pairs.
-template <typename Block>
-class ScratchPool {
- public:
-  Block acquire() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!free_.empty()) {
-        Block block = std::move(free_.back());
-        free_.pop_back();
-        return block;
-      }
-    }
-    return Block{};
-  }
-  void release(Block block) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(std::move(block));
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<Block> free_;
-};
-
-}  // namespace
-
 struct SimilarityEngine::TileScratch {
   std::vector<float> values = std::vector<float>(kTile * kTile);
 
@@ -787,6 +756,37 @@ struct SimilarityEngine::TileScratch {
   std::vector<double> packed_filled;
   /// The current tile row's normalized and filled rows widened to double.
   std::vector<double> wide_norm, wide_filled;
+
+  class Pool;
+};
+
+/// Scratch-block pool for tile streaming: at most one block per concurrent
+/// visitor invocation is ever live (blocks are returned after each tile),
+/// so the distance phase of a streaming consumer peaks at
+/// O(threads * (kTile² + kTile * stride)) floats of transient state, never
+/// O(n²). The lock is taken twice per tile — noise next to the tile's 4096
+/// pairs.
+class SimilarityEngine::TileScratch::Pool {
+ public:
+  TileScratch acquire() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!free_.empty()) {
+        TileScratch block = std::move(free_.back());
+        free_.pop_back();
+        return block;
+      }
+    }
+    return TileScratch{};
+  }
+  void release(TileScratch block) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    free_.push_back(std::move(block));
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<TileScratch> free_;
 };
 
 std::size_t SimilarityEngine::tile_count() const noexcept {
@@ -1087,7 +1087,7 @@ void SimilarityEngine::for_each_tile(
   // cursor (workers touch tiles in pull order), so pages stay resident
   // until the phase ends — residency streaming is the SERIAL driver's job.
   check_backing();
-  ScratchPool<TileScratch> scratch;
+  TileScratch::Pool scratch;
   par::parallel_dynamic(pool, 0, tile_count(), [&](std::size_t t) {
     TileScratch block = scratch.acquire();
     DistanceTile tile;
@@ -1218,12 +1218,12 @@ void SimilarityEngine::condensed_squared_distances(
 
 namespace {
 
-/// One nearest-neighbor candidate in a per-row top-k buffer. Ordered
+/// One nearest-neighbor candidate in a bounded per-row heap. Ordered
 /// lexicographically by (distance, index): the global top-k under this
 /// total order is what top_k_neighbors returns, which makes results
 /// deterministic under any thread schedule (every global top-k entry is
 /// among the k (distance, index)-smallest of whichever slot saw it, so the
-/// union of slot buffers always contains the true top-k).
+/// union of slot heaps always contains the true top-k).
 struct NeighborEntry {
   float d = 0.0f;
   std::uint32_t idx = 0;
@@ -1275,23 +1275,14 @@ class TopKSlot {
 /// entries on both sides already. NaN compares not-above and is pushed.
 std::uint32_t heap_candidates(const float* d, const float* col_threshold,
                               float row_threshold, std::size_t count) {
-#if defined(__AVX512F__)
-  const __mmask16 valid =
-      static_cast<__mmask16>((std::uint32_t{1} << count) - 1);
-  const __m512 v = _mm512_maskz_loadu_ps(valid, d);
-  const __mmask16 over_row = _mm512_mask_cmp_ps_mask(
-      valid, v, _mm512_set1_ps(row_threshold), _CMP_GT_OQ);
-  const __mmask16 over_col = _mm512_mask_cmp_ps_mask(
-      valid, v, _mm512_maskz_loadu_ps(valid, col_threshold), _CMP_GT_OQ);
-  return static_cast<std::uint32_t>(valid & ~(over_row & over_col));
-#else
+  // Bitwise | rather than a short-circuit, so the loop has no branch and
+  // vectorizes.
   std::uint32_t live = 0;
   for (std::size_t c = 0; c < count; ++c) {
-    const bool over = d[c] > row_threshold && d[c] > col_threshold[c];
-    live |= static_cast<std::uint32_t>(!over) << c;
+    const bool keep = !(d[c] > row_threshold) | !(d[c] > col_threshold[c]);
+    live |= static_cast<std::uint32_t>(keep) << c;
   }
   return live;
-#endif
 }
 
 /// Monotone-decreasing publish of a row's heap threshold. Stale (larger)
@@ -1578,7 +1569,7 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
 
     std::atomic<std::size_t> pruned_tiles{0};
     std::atomic<std::size_t> checked_bounds{0};
-    ScratchPool<TileScratch> scratch;
+    TileScratch::Pool scratch;
     par::parallel_dynamic(pool, 0, order.size(), [&](std::size_t pos) {
       const auto [t, ta, tb] = order[pos];
       const std::size_t row_begin = ta * kTile;
@@ -1642,18 +1633,17 @@ NeighborTable SimilarityEngine::top_k_neighbors(std::size_t k,
     }
   }
 
-  // Merge: per row, the union of slot buffers contains the global
-  // (distance, index)-smallest k; select them in order and keep the head.
-  // Rows are independent, so the merge itself parallelizes statically.
+  // Merge: per row, the union of slot heaps contains the global
+  // (distance, index)-smallest k; sort it and keep the head. Rows are
+  // independent, so the merge itself parallelizes statically.
   par::parallel_for(pool, 0, n, 64, [&](std::size_t i) {
     std::vector<NeighborEntry> candidates;
     for (const auto& slot : slots) {
       const auto entries = slot->entries(i);
       candidates.insert(candidates.end(), entries.begin(), entries.end());
     }
+    std::sort(candidates.begin(), candidates.end());
     const std::size_t keep = std::min(kk, candidates.size());
-    std::partial_sort(candidates.begin(), candidates.begin() + keep,
-                      candidates.end());
     table.valid[i] = static_cast<std::uint32_t>(keep);
     for (std::size_t s = 0; s < keep; ++s) {
       table.indices[i * kk + s] = candidates[s].idx;
