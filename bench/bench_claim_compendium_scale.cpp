@@ -10,11 +10,18 @@
 // quarter-billion extrapolation concrete).
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "cluster/distance.hpp"
 #include "core/merged.hpp"
+#include "expr/compendium_io.hpp"
 #include "expr/synth.hpp"
 #include "par/thread_pool.hpp"
 #include "stats/descriptive.hpp"
@@ -70,6 +77,45 @@ void BM_Generate(benchmark::State& state) {
 }
 BENCHMARK(BM_Generate)->Arg(1 << 20)->Arg(1 << 23)->Arg(1 << 25)
     ->Iterations(1)->Unit(benchmark::kMillisecond);
+
+// --- Ingest ------------------------------------------------------------------
+// Bring-up of a served compendium is nearly all PCL parsing. This is the
+// e2ebench shape: yeast_like(3000), five datasets written as PCL files plus
+// manifest (5.8 MB, 572k cells), loaded the way fv_serve loads it.
+
+/// The compendium directory, written once per process and removed at exit.
+struct IngestDir {
+  std::string path = (std::filesystem::temp_directory_path() /
+                      ("fv_bench_ingest." + std::to_string(::getpid())))
+                         .string();
+  std::uintmax_t bytes = 0;
+
+  IngestDir() {
+    ex::CompendiumSpec spec;
+    spec.genome = ex::GenomeSpec::yeast_like(3000);
+    spec.seed = 7;
+    ex::save_compendium_dir(ex::make_compendium(spec).datasets, path);
+    for (const auto& entry : std::filesystem::directory_iterator(path)) {
+      bytes += entry.file_size();
+    }
+  }
+  ~IngestDir() { std::filesystem::remove_all(path); }
+};
+
+void BM_LoadCompendiumDir(benchmark::State& state) {
+  static const IngestDir dir;
+  std::size_t cells = 0;
+  for (auto _ : state) {
+    const std::vector<ex::Dataset> datasets = ex::load_compendium_dir(dir.path);
+    cells = 0;
+    for (const auto& d : datasets) cells += d.values().size();
+    benchmark::DoNotOptimize(cells);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(dir.bytes));
+  state.counters["cells"] = static_cast<double>(cells);
+}
+BENCHMARK(BM_LoadCompendiumDir)->Unit(benchmark::kMillisecond);
 
 void BM_FullSweep(benchmark::State& state) {
   const auto target = static_cast<std::size_t>(state.range(0));

@@ -1,11 +1,10 @@
 #include "expr/cdt_io.hpp"
 
-#include <cmath>
 #include <filesystem>
 #include <sstream>
 #include <unordered_map>
 
-#include "stats/descriptive.hpp"
+#include "expr/table_scan.hpp"
 #include "util/string_util.hpp"
 #include "util/table_io.hpp"
 
@@ -23,31 +22,6 @@ std::string array_leaf_name(std::size_t col) {
 
 std::string node_name(std::size_t merge_index) {
   return "NODE" + std::to_string(merge_index + 1) + "X";
-}
-
-std::string format_name_cell(const GeneInfo& gene) {
-  if (gene.description.empty()) return gene.common_name;
-  return gene.common_name + "|" + gene.description;
-}
-
-GeneInfo parse_name_cell(std::string_view id, std::string_view name_cell) {
-  GeneInfo info;
-  info.systematic_name = std::string(fv::str::trim(id));
-  const std::size_t bar = name_cell.find('|');
-  if (bar == std::string_view::npos) {
-    info.common_name = std::string(fv::str::trim(name_cell));
-  } else {
-    info.common_name = std::string(fv::str::trim(name_cell.substr(0, bar)));
-    info.description = std::string(fv::str::trim(name_cell.substr(bar + 1)));
-  }
-  return info;
-}
-
-void append_value(std::string& out, float value) {
-  if (fv::stats::is_missing(value)) return;
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", static_cast<double>(value));
-  out += buffer;
 }
 
 // Serializes merges as "NODEkX child child similarity" rows, children named
@@ -153,16 +127,7 @@ CdtBundle format_cdt(const Dataset& dataset) {
       out += gene_leaf_name(r);
       out += '\t';
     }
-    const GeneInfo& gene = dataset.gene(r);
-    out += gene.systematic_name;
-    out += '\t';
-    out += format_name_cell(gene);
-    out += "\t1";
-    const auto row = dataset.values().row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out += '\t';
-      append_value(out, row[c]);
-    }
+    detail::append_gene_cells(out, dataset.gene(r), dataset.values().row(r));
     out += '\n';
   }
 
@@ -176,105 +141,27 @@ CdtBundle format_cdt(const Dataset& dataset) {
 }
 
 Dataset parse_cdt(const CdtBundle& bundle, const std::string& name) {
-  std::vector<std::string> lines;
-  {
-    std::istringstream stream(bundle.cdt);
-    std::string line;
-    while (std::getline(stream, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      lines.push_back(line);
-    }
-  }
-  if (lines.empty()) throw ParseError("empty CDT file");
-
-  const auto header = str::split(lines[0], '\t');
-  if (header.empty()) throw ParseError("missing CDT header", 1);
-  const bool has_gid = str::iequals(str::trim(header[0]), "GID");
-  const std::size_t meta_cols = has_gid ? 4 : 3;
-  if (header.size() < meta_cols) {
-    throw ParseError("CDT header too short", 1);
-  }
-  std::vector<std::string> conditions;
-  for (std::size_t c = meta_cols; c < header.size(); ++c) {
-    conditions.emplace_back(str::trim(header[c]));
-  }
-  const std::size_t cols = conditions.size();
-
-  // Optional AID row then optional EWEIGHT row.
-  std::size_t next_line = 1;
-  std::vector<std::string> array_leaf_tokens;
-  if (next_line < lines.size()) {
-    const auto fields = str::split(lines[next_line], '\t');
-    if (!fields.empty() && str::iequals(str::trim(fields[0]), "AID")) {
-      for (std::size_t c = meta_cols; c < fields.size(); ++c) {
-        array_leaf_tokens.emplace_back(str::trim(fields[c]));
-      }
-      if (array_leaf_tokens.size() != cols) {
-        throw ParseError("AID row width disagrees with header",
-                         next_line + 1);
-      }
-      ++next_line;
-    }
-  }
-  if (next_line < lines.size()) {
-    const auto fields = str::split(lines[next_line], '\t');
-    if (!fields.empty() && str::iequals(str::trim(fields[0]), "EWEIGHT")) {
-      ++next_line;
-    }
-  }
-
-  std::vector<GeneInfo> genes;
-  std::vector<std::vector<float>> rows;
-  std::unordered_map<std::string, std::size_t> gene_leaf_ids;
-  for (std::size_t ln = next_line; ln < lines.size(); ++ln) {
-    if (str::trim(lines[ln]).empty()) continue;
-    const auto fields = str::split(lines[ln], '\t');
-    if (fields.size() < meta_cols) {
-      throw ParseError("CDT data row too short", ln + 1);
-    }
-    if (fields.size() > meta_cols + cols) {
-      throw ParseError("CDT data row too long", ln + 1);
-    }
-    const std::size_t row_index = rows.size();
-    if (has_gid) {
-      gene_leaf_ids.emplace(std::string(str::trim(fields[0])), row_index);
-    }
-    genes.push_back(
-        parse_name_cell(fields[meta_cols - 3], fields[meta_cols - 2]));
-    std::vector<float> row(cols, stats::missing_value());
-    for (std::size_t c = 0; c < cols; ++c) {
-      const std::size_t field = meta_cols + c;
-      if (field >= fields.size()) break;
-      const std::string_view cell = str::trim(fields[field]);
-      if (cell.empty()) continue;
-      const auto value = str::parse_double(cell);
-      if (!value.has_value()) {
-        throw ParseError("unparseable expression value", ln + 1);
-      }
-      row[c] = static_cast<float>(*value);
-    }
-    rows.push_back(std::move(row));
-  }
-
-  ExpressionMatrix matrix(rows.size(), cols);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t c = 0; c < cols; ++c) matrix.set(r, c, rows[r][c]);
-  }
-  Dataset dataset(name, std::move(genes), std::move(conditions),
-                  std::move(matrix));
+  detail::ScannedTable table =
+      detail::scan_table(bundle.cdt, detail::TableDialect::kCdt);
+  Dataset dataset(name, std::move(table.genes), std::move(table.conditions),
+                  std::move(table.values));
 
   if (!bundle.gtr.empty()) {
-    if (!has_gid) {
+    if (!table.has_gid) {
       throw ParseError("GTR supplied but CDT has no GID column");
+    }
+    std::unordered_map<std::string, std::size_t> gene_leaf_ids;
+    for (std::size_t r = 0; r < table.gene_keys.size(); ++r) {
+      gene_leaf_ids.emplace(std::move(table.gene_keys[r]), r);
     }
     dataset.attach_gene_tree(
         parse_tree(bundle.gtr, dataset.gene_count(), gene_leaf_ids));
   }
   if (!bundle.atr.empty()) {
     std::unordered_map<std::string, std::size_t> array_leaf_ids;
-    if (!array_leaf_tokens.empty()) {
-      for (std::size_t c = 0; c < array_leaf_tokens.size(); ++c) {
-        array_leaf_ids.emplace(array_leaf_tokens[c], c);
+    if (!table.array_keys.empty()) {
+      for (std::size_t c = 0; c < table.array_keys.size(); ++c) {
+        array_leaf_ids.emplace(std::move(table.array_keys[c]), c);
       }
     } else {
       for (std::size_t c = 0; c < dataset.condition_count(); ++c) {

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "stats/descriptive.hpp"
@@ -25,6 +26,12 @@ class ExpressionMatrix {
 
   ExpressionMatrix(std::size_t rows, std::size_t cols, float fill)
       : rows_(rows), cols_(cols), values_(rows * cols, fill) {}
+
+  /// Adopts row-major `values` (rows * cols of them) without copying.
+  ExpressionMatrix(std::size_t rows, std::size_t cols, std::vector<float> values)
+      : rows_(rows), cols_(cols), values_(std::move(values)) {
+    FV_REQUIRE(values_.size() == rows * cols, "matrix storage size mismatch");
+  }
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }

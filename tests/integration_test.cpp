@@ -21,6 +21,7 @@
 #include "stats/correlation.hpp"
 #include "util/error.hpp"
 #include "util/table_io.hpp"
+#include "test_paths.hpp"
 
 namespace {
 
@@ -30,13 +31,10 @@ namespace fs = std::filesystem;
 
 class CompendiumDirTest : public ::testing::Test {
  protected:
-  // Unique per test: ctest runs cases in parallel processes, so a shared
-  // directory would race between one test's TearDown and another's writes.
-  std::string dir_ =
-      (fs::temp_directory_path() /
-       (std::string("fv_compendium_it_") +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name()))
-          .string();
+  // Unique per test and process: ctest runs cases in parallel processes, so
+  // a shared directory would race between one test's TearDown and another's
+  // writes.
+  std::string dir_ = fv::test::test_scratch_path("fv_compendium_it_");
   void TearDown() override { fs::remove_all(dir_); }
 };
 
@@ -105,6 +103,19 @@ TEST_F(CompendiumDirTest, ManifestEntryWithoutFileThrows) {
   fs::create_directories(dir_);
   fv::write_text_file(dir_ + "/compendium.manifest", "ghost_dataset\n");
   EXPECT_THROW(ex::load_compendium_dir(dir_), fv::IoError);
+}
+
+TEST_F(CompendiumDirTest, DirectoryInPlaceOfDataFileThrowsIoError) {
+  fs::create_directories(dir_ + "/ghost.pcl");
+  fv::write_text_file(dir_ + "/compendium.manifest", "ghost\n");
+  try {
+    (void)ex::load_compendium_dir(dir_);
+    FAIL() << "expected IoError";
+  } catch (const fv::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(dir_ + "/ghost.pcl"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(CompendiumDirTest, EmptyManifestThrows) {

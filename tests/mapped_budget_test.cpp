@@ -42,6 +42,7 @@
 #include "store/artifact_store.hpp"
 #include "store/cached.hpp"
 #include "util/triangular.hpp"
+#include "test_paths.hpp"
 
 namespace {
 
@@ -84,7 +85,7 @@ fv::expr::ExpressionMatrix budget_matrix() {
 
 std::string store_dir() {
   if (const char* dir = std::getenv("FV_BUDGET_DIR")) return dir;
-  return (fs::temp_directory_path() / "fv_budget_store").string();
+  return fv::test::scratch_path("fv_budget_store");
 }
 
 /// VmHWM of this process in KiB — the kernel's peak-resident high-water

@@ -28,6 +28,7 @@
 #include "util/triangular.hpp"
 #include "wall/command.hpp"
 #include "wall/wall_display.hpp"
+#include "test_paths.hpp"
 
 namespace {
 
@@ -270,11 +271,7 @@ class MappedEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {
  protected:
   void SetUp() override {
-    std::string name = ::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name();
-    std::replace(name.begin(), name.end(), '/', '_');
-    dir_ = (fs::temp_directory_path() / ("fv_mapped_prop_" + name)).string();
+    dir_ = fv::test::test_scratch_path("fv_mapped_prop_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

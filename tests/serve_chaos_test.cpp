@@ -23,7 +23,6 @@
 // mapped compendium plus per-session locks is exactly the aliasing pattern
 // a race would hide in.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -41,6 +40,7 @@
 #include "store/artifact_store.hpp"
 #include "store/cached.hpp"
 #include "store/fsck.hpp"
+#include "test_paths.hpp"
 
 namespace {
 
@@ -93,9 +93,7 @@ class ServeChaosTest : public ::testing::Test {
     // Per-process dir: ctest runs each test case as its own process, in
     // parallel — a shared fixed path would let one process's
     // SetUpTestSuite remove_all another's live store.
-    dir_ = (fs::temp_directory_path() /
-            ("fv_serve_chaos." + std::to_string(::getpid())))
-               .string();
+    dir_ = fv::test::scratch_path("fv_serve_chaos");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
 

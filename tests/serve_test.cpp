@@ -11,7 +11,6 @@
 //   * client-abandoned job reaping on the logical request clock,
 //   * the persistent blob cache across service restarts.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -27,6 +26,7 @@
 #include "serve/service.hpp"
 #include "store/artifact_store.hpp"
 #include "store/fsck.hpp"
+#include "test_paths.hpp"
 
 namespace {
 
@@ -408,10 +408,7 @@ TEST(Serve, FaultInjectionIsDeterministic) {
 }
 
 TEST(Serve, PersistentBlobCacheSurvivesRestart) {
-  const std::string dir =
-      (fs::temp_directory_path() /
-       ("fv_serve_blob_test." + std::to_string(::getpid())))
-          .string();
+  const std::string dir = fv::test::scratch_path("fv_serve_blob_test");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string params = "{\"type\":\"topk\",\"k\":4,\"rows\":8}";

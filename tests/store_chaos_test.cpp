@@ -25,6 +25,7 @@
 #include "store/fsck.hpp"
 #include "util/rng.hpp"
 #include "util/triangular.hpp"
+#include "test_paths.hpp"
 
 namespace {
 
@@ -33,12 +34,7 @@ namespace fs = std::filesystem;
 class StoreChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("fv_store_chaos_" +
-             std::string(
-                 ::testing::UnitTest::GetInstance()->current_test_info()
-                     ->name())))
-               .string();
+    dir_ = fv::test::test_scratch_path("fv_store_chaos_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

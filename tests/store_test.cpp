@@ -33,6 +33,7 @@
 #include "store/mapped_vector.hpp"
 #include "util/rng.hpp"
 #include "util/xxhash.hpp"
+#include "test_paths.hpp"
 
 namespace {
 
@@ -42,12 +43,7 @@ namespace fs = std::filesystem;
 class StoreDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("fv_store_test_" +
-             std::string(
-                 ::testing::UnitTest::GetInstance()->current_test_info()
-                     ->name())))
-               .string();
+    dir_ = fv::test::test_scratch_path("fv_store_test_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

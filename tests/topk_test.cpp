@@ -9,7 +9,6 @@
 // kernel's block-flush error bound against the double reference across row
 // lengths.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -31,6 +30,7 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/triangular.hpp"
+#include "test_paths.hpp"
 
 namespace {
 
@@ -668,12 +668,7 @@ class TileKernelTest
     : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {
  protected:
   void SetUp() override {
-    std::string name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::replace(name.begin(), name.end(), '/', '_');
-    // The pid keeps concurrent runs of the suite out of each other's store.
-    dir_ = std::filesystem::temp_directory_path() /
-           ("fv_tile_kernel_" + name + "_" + std::to_string(::getpid()));
+    dir_ = fv::test::test_scratch_path("fv_tile_kernel_");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

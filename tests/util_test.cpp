@@ -18,6 +18,7 @@
 #include "util/table_io.hpp"
 #include "util/timer.hpp"
 #include "util/xxhash.hpp"
+#include "test_paths.hpp"
 
 namespace {
 
@@ -209,9 +210,7 @@ TEST(ErrorTest, ParseErrorCarriesLine) {
 
 class TableIoTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "fv_table_io_test.txt")
-                          .string();
+  std::string path_ = fv::test::scratch_path("fv_table_io_test.txt");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
@@ -226,6 +225,28 @@ TEST_F(TableIoTest, RoundTripLines) {
 
 TEST_F(TableIoTest, MissingFileThrowsIoError) {
   EXPECT_THROW(fv::read_text_file("/nonexistent/fv/file.txt"), fv::IoError);
+}
+
+TEST_F(TableIoTest, ReadsEveryByte) {
+  const std::string content("a\0b\r\n\tc", 7);
+  fv::write_text_file(path_, content);
+  EXPECT_EQ(fv::read_text_file(path_), content);
+  fv::write_text_file(path_, "");
+  EXPECT_EQ(fv::read_text_file(path_), "");
+}
+
+TEST_F(TableIoTest, DirectoryThrowsIoErrorNamingPath) {
+  // A directory opens and reads as empty; the reader must say what it is
+  // rather than hand an empty "file" to a parser.
+  const std::string dir = fv::test::scratch_path("fv_table_io_dir");
+  std::filesystem::create_directories(dir);
+  try {
+    (void)fv::read_text_file(dir);
+    ADD_FAILURE() << "expected IoError";
+  } catch (const fv::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos) << e.what();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TimerTest, MeasuresNonNegativeTime) {
