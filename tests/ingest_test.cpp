@@ -681,9 +681,8 @@ TEST(IngestMutationTest, CdtAcceptRejectAndLinesMatchSeedParser) {
 // The decimal fast path against std::from_chars.
 
 /// Runs the fast path on the whole of `text`; nullopt when it declines.
-/// Checks it twice: alone, where short digit runs take the byte-at-a-time
-/// loop, and followed by a tab and more cells, as inside a row, where runs
-/// are read eight bytes at a time. Both must agree.
+/// Checks it twice: alone, ending at the end of the text, and followed by
+/// a tab and more cells, as inside a row. Both must agree.
 std::optional<double> fast(std::string_view text) {
   double value = 0.0;
   const char* end = text.data() + text.size();
